@@ -20,7 +20,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .controller import MpcConfig, TerminalData, TubeController
-from .geometry import HPolytope, VAggregate, VPolytope
+from .geometry import GeometryError, HPolytope, VAggregate, VPolytope
 from .model import Coupling, ModelError, Network, Subsystem
 from .pnp import plug_in, unplug
 from .rci import DesignFailure, RciConfig, RciDesign
@@ -58,6 +58,25 @@ _CONTROLLER = {
     },
 }
 
+_ID = {"type": ["string", "integer"]}
+_SUBSYSTEM = {
+    "type": "object",
+    "required": ["id", "A", "B", "X", "U"],
+    "properties": {
+        "id": _ID,
+        "A": _MATRIX, "B": _MATRIX, "X": _POLY, "U": _POLY,
+        "L": _MATRIX,
+        "setpoint_state_gain": _VECTOR,
+        "setpoint_input_gain": _VECTOR,
+        "controller": _CONTROLLER,
+    },
+}
+_COUPLINGS = {
+    "type": "array",
+    "items": {"type": "object", "required": ["from", "to", "A"],
+              "properties": {"from": _ID, "to": _ID, "A": _MATRIX}},
+}
+
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["name", "sampling_time", "subsystems", "couplings", "controller",
@@ -68,26 +87,9 @@ SCENARIO_SCHEMA = {
         "subsystems": {
             "type": "array",
             "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id", "A", "B", "X", "U"],
-                "properties": {
-                    "id": {"type": ["string", "integer"]},
-                    "A": _MATRIX, "B": _MATRIX, "X": _POLY, "U": _POLY,
-                    "L": _MATRIX,
-                    "setpoint_state_gain": _VECTOR,
-                    "setpoint_input_gain": _VECTOR,
-                    "controller": _CONTROLLER,
-                },
-            },
+            "items": _SUBSYSTEM,
         },
-        "couplings": {
-            "type": "array",
-            "items": {"type": "object", "required": ["from", "to", "A"],
-                      "properties": {"from": {"type": ["string", "integer"]},
-                                     "to": {"type": ["string", "integer"]},
-                                     "A": _MATRIX}},
-        },
+        "couplings": _COUPLINGS,
         "controller": _CONTROLLER,
         "simulation": {
             "type": "object",
@@ -97,13 +99,38 @@ SCENARIO_SCHEMA = {
                 "x0": {"type": "object", "additionalProperties": _VECTOR},
                 "loads": {"type": "array",
                           "items": {"type": "object", "required": ["id", "time", "value"],
-                                    "properties": {"id": {"type": ["string", "integer"]},
+                                    "properties": {"id": _ID,
                                                    "time": {"type": "integer", "minimum": 0},
                                                    "value": {"type": "number"}}}},
                 "seed": {"type": "integer"},
                 "mode": {"enum": ["decentralized", "distributed"]},
             },
         },
+    },
+}
+
+
+#: `tubenet plug` delta: the new subsystem, its couplings both ways, its own
+#: controller settings and its initial state
+PLUG_SCHEMA = {
+    "type": "object",
+    "required": ["add_subsystem"],
+    "properties": {
+        "add_subsystem": _SUBSYSTEM,
+        "couplings": _COUPLINGS,
+        "controller": _CONTROLLER,
+        "x0": _VECTOR,
+    },
+}
+
+#: `tubenet unplug` delta: the subsystem to remove and the new local
+#: dynamics of retained subsystems
+UNPLUG_SCHEMA = {
+    "type": "object",
+    "required": ["remove_subsystem"],
+    "properties": {
+        "remove_subsystem": _ID,
+        "A_overrides": {"type": "object", "additionalProperties": _MATRIX},
     },
 }
 
@@ -120,13 +147,17 @@ def fingerprint(doc) -> str:
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 
-def validate_scenario(doc: dict):
-    """Schema check with JSON-path diagnostics, then shape consistency."""
-    validator = Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
+def _check_schema(doc, schema: dict):
+    """Raise ScenarioError naming the JSON path of the first violation."""
+    errors = sorted(Draft202012Validator(schema).iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         e = errors[0]
         raise ScenarioError(f"schema violation at {e.json_path}: {e.message}")
+
+
+def validate_scenario(doc: dict):
+    """Schema check with JSON-path diagnostics, then shape consistency."""
+    _check_schema(doc, SCENARIO_SCHEMA)
     ids = [str(s["id"]) for s in doc["subsystems"]]
     if len(set(ids)) != len(ids):
         raise ScenarioError("schema violation at $.subsystems: ids are not unique")
@@ -177,11 +208,16 @@ class Scenario:
     def fingerprint(self) -> str:
         return fingerprint(self.doc)
 
-    def controller_config(self, sid: str) -> MpcConfig:
+    def _controller_doc(self, sid: str) -> dict:
+        """Scenario-wide controller settings, overridden by the subsystem's own."""
         merged = dict(self.doc.get("controller", {}))
         for s in self.doc["subsystems"]:
             if str(s["id"]) == sid and "controller" in s:
                 merged.update(s["controller"])
+        return merged
+
+    def controller_config(self, sid: str) -> MpcConfig:
+        merged = self._controller_doc(sid)
         terminal = merged.get("terminal", "zero")
         if terminal == "zero":
             term = TerminalData()
@@ -195,10 +231,7 @@ class Scenario:
                          cost=merged.get("cost", "quadratic"))
 
     def rci_config(self, sid: str) -> RciConfig:
-        merged = dict(self.doc.get("controller", {}))
-        for s in self.doc["subsystems"]:
-            if str(s["id"]) == sid and "controller" in s:
-                merged.update(s["controller"])
+        merged = self._controller_doc(sid)
         return RciConfig(k=merged.get("k"), q=merged.get("q"), omega=merged.get("omega"),
                          minimize_alpha=merged.get("minimize_alpha", False))
 
@@ -215,21 +248,21 @@ class Scenario:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     validate_scenario(doc)
-    subs = []
-    for s in doc["subsystems"]:
-        verts = s["X"].get("vertices")
-        subs.append(Subsystem(
-            str(s["id"]), s["A"], s["B"],
-            HPolytope(s["X"]["C"], s["X"]["d"]),
-            HPolytope(s["U"]["C"], s["U"]["d"]),
-            x_vertices=None if verts is None else VPolytope(verts),
-            L=s.get("L"),
-            setpoint_state_gain=s.get("setpoint_state_gain"),
-            setpoint_input_gain=s.get("setpoint_input_gain")))
-    coups = [Coupling(str(c["from"]), str(c["to"]), c["A"]) for c in doc["couplings"]]
     try:
+        subs = []
+        for s in doc["subsystems"]:
+            verts = s["X"].get("vertices")
+            subs.append(Subsystem(
+                str(s["id"]), s["A"], s["B"],
+                HPolytope(s["X"]["C"], s["X"]["d"]),
+                HPolytope(s["U"]["C"], s["U"]["d"]),
+                x_vertices=None if verts is None else VPolytope(verts),
+                L=s.get("L"),
+                setpoint_state_gain=s.get("setpoint_state_gain"),
+                setpoint_input_gain=s.get("setpoint_input_gain")))
+        coups = [Coupling(str(c["from"]), str(c["to"]), c["A"]) for c in doc["couplings"]]
         net = Network(subs, coups)
-    except ModelError as e:
+    except (ModelError, GeometryError) as e:
         raise ScenarioError(str(e)) from e
     return Scenario(doc=doc, network=net, ts=float(doc["sampling_time"]))
 
@@ -459,47 +492,36 @@ def _tie_gains(scenario: Scenario) -> dict:
     return gains
 
 
+def _load_delta(path, schema: dict) -> dict:
+    with open(path) as fh:
+        delta = json.load(fh)
+    _check_schema(delta, schema)
+    return delta
+
+
 def cmd_plug(args) -> int:
     try:
-        with open(args.delta) as fh:
-            delta = json.load(fh)
+        delta = _load_delta(args.delta, PLUG_SCHEMA)
         scenario, controllers, _ = load_bundle(args.bundle)
+        sdoc = dict(delta["add_subsystem"])
+        if "controller" in delta:
+            sdoc["controller"] = {**sdoc.get("controller", {}), **delta["controller"]}
+        new_scenario = scenario_from_dict(_scenario_doc_with(
+            scenario.doc, sdoc, delta.get("couplings", []), delta.get("x0")))
     except (ScenarioError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    sdoc = delta["add_subsystem"]
-    verts = sdoc["X"].get("vertices")
-    try:
-        new_sub = Subsystem(str(sdoc["id"]), sdoc["A"], sdoc["B"],
-                            HPolytope(sdoc["X"]["C"], sdoc["X"]["d"]),
-                            HPolytope(sdoc["U"]["C"], sdoc["U"]["d"]),
-                            x_vertices=None if verts is None else VPolytope(verts),
-                            L=sdoc.get("L"),
-                            setpoint_state_gain=sdoc.get("setpoint_state_gain"),
-                            setpoint_input_gain=sdoc.get("setpoint_input_gain"))
-        coups = [Coupling(str(c["from"]), str(c["to"]), c["A"])
-                 for c in delta.get("couplings", [])]
-    except (ModelError, KeyError) as e:
-        print(f"error: invalid delta: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    merged_cfg = dict(scenario.doc.get("controller", {}))
-    merged_cfg.update(delta.get("controller", {}))
-    mpc_cfg = MpcConfig(N=merged_cfg.get("horizon", 10), Q=merged_cfg.get("Q"),
-                        R=merged_cfg.get("R"),
-                        mode=merged_cfg.get("mode", "decentralized"),
-                        cost=merged_cfg.get("cost", "quadratic"))
-    tx = plug_in(scenario.network, controllers, new_sub, coups, mpc_cfg,
-                 RciConfig(k=merged_cfg.get("k"), omega=merged_cfg.get("omega"),
-                           minimize_alpha=merged_cfg.get("minimize_alpha", False)))
+    new_id = str(sdoc["id"])
+    new_net = new_scenario.network
+    tx = plug_in(scenario.network, controllers, new_net.subsystems[new_id],
+                 new_net.couplings[len(scenario.network.couplings):],
+                 new_scenario.controller_config(new_id), new_scenario.rci_config(new_id))
     print(json.dumps({"operation": tx.operation, "target": tx.target,
                       "status": tx.status, "reason": tx.reason,
                       "redesigned": tx.redesign_set if tx.committed else [],
                       "outcomes": tx.outcomes}, indent=1))
     if not tx.committed:
         return EXIT_DESIGN
-    new_doc = _scenario_doc_with(scenario.doc, sdoc, delta.get("couplings", []),
-                                 delta.get("x0"))
-    new_scenario = scenario_from_dict(new_doc)
     save_bundle(args.out, new_scenario, tx.controllers,
                 {"transaction": {"operation": "plug", "target": tx.target,
                                  "outcomes": tx.outcomes}})
@@ -532,9 +554,13 @@ def _scenario_doc_without(doc: dict, target: str, overrides: dict) -> dict:
 
 def cmd_unplug(args) -> int:
     try:
-        with open(args.delta) as fh:
-            delta = json.load(fh)
+        delta = _load_delta(args.delta, UNPLUG_SCHEMA)
         scenario, controllers, _ = load_bundle(args.bundle)
+        for sid, A in delta.get("A_overrides", {}).items():
+            sub = scenario.network.subsystems.get(sid)
+            if sub is not None and np.shape(A) != sub.A.shape:
+                raise ScenarioError(f"ill-shaped matrix at $.A_overrides.{sid}: "
+                                    f"{np.shape(A)}, expected {sub.A.shape}")
     except (ScenarioError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -156,17 +156,18 @@ class MpcSolution:
 
 def tighten_sets(X: HPolytope, U: HPolytope, rci: RciDesign) -> tuple[HPolytope, HPolytope]:
     """Erode the state/input constraints by the invariant tube section, one
-    vertex block at a time (erosions by summands compose)."""
-    Xhat = X.copy()
+    vertex block at a time (erosions by summands compose), then check each
+    tightened set for emptiness with one LP."""
+    Xhat = X
     for blk in rci.z_blocks:
         Xhat = erode_by_vpolytope(Xhat, VPolytope(blk), rci.sigma)
-        if Xhat.is_empty():
-            raise DesignError("tightened state set is empty (coupling too large)")
-    V = U.copy()
+    if Xhat.is_empty():
+        raise DesignError("tightened state set is empty (coupling too large)")
+    V = U
     for blk in rci.u_blocks:
         V = erode_by_vpolytope(V, VPolytope(blk), rci.sigma)
-        if V.is_empty():
-            raise DesignError("tightened input set is empty (coupling too large)")
+    if V.is_empty():
+        raise DesignError("tightened input set is empty (coupling too large)")
     if not Xhat.has_origin_interior():
         raise DesignError("tightened state set lost the origin from its interior")
     if not V.has_origin_interior():

@@ -24,7 +24,6 @@ __all__ = [
     "minkowski_sum_v",
     "erode_by_ball",
     "erode_by_vpolytope",
-    "remove_redundant",
     "contains_point",
     "member_aggregate",
     "support_value",
@@ -245,40 +244,9 @@ def erode_by_ball(X: HPolytope, beta: float) -> HPolytope:
     return out
 
 
-def _irredundant_rows(C: np.ndarray, d: np.ndarray, feas_tol: float) -> list[int]:
-    """Indices of rows to keep, scanning candidates in ascending order.
-
-    Row r goes iff max c_r'x over the remaining rows stays <= d_r + feas_tol
-    (one LP per row). The set described is unchanged within feas_tol.
-    """
-    keep = list(range(C.shape[0]))
-    for r in list(keep):
-        others = [i for i in keep if i != r]
-        if not others:
-            continue
-        rep = solve_lp(LinearProgram(-C[r], A_ub=C[others], b_ub=d[others]))
-        if rep.status == "unbounded":
-            continue
-        if not rep.optimal:
-            raise GeometryError("redundancy LP failed: " + rep.status)
-        if -rep.objective <= d[r] + feas_tol:
-            keep.remove(r)
-    return keep
-
-
-def remove_redundant(X: HPolytope, feas_tol: float = 1e-8) -> HPolytope:
-    """Drop every constraint row implied by the others (one LP per row)."""
-    keep = _irredundant_rows(X.C, X.d, feas_tol)
-    return HPolytope(X.C[keep], X.d[keep])
-
-
-def erode_by_vpolytope(X: HPolytope, P: VPolytope, scale: float = 1.0,
-                       prune: bool = True) -> HPolytope:
-    """X (-) scale*conv(P), i.e. the intersection of X translated by every
-    scaled vertex: each facet rhs drops by scale * max_f c_r'v_f.
-
-    Vertices are folded in one at a time with an optional redundancy pass
-    after each, so the intermediate row count stays bounded. Eroding by a
+def erode_by_vpolytope(X: HPolytope, P: VPolytope, scale: float = 1.0) -> HPolytope:
+    """X (-) scale*conv(P) in closed form: each facet rhs drops by the support
+    scale * max_f c_r'v_f (exact for any H-polytope X). Eroding by a
     Minkowski sum is done by calling this once per summand: erosions compose.
     The result may be empty; check `is_empty()`.
     """
@@ -286,19 +254,8 @@ def erode_by_vpolytope(X: HPolytope, P: VPolytope, scale: float = 1.0,
         raise GeometryError("dimension mismatch in erosion")
     if scale <= 0:
         raise GeometryError("scale must be positive")
-    C = X.C.copy()
-    d_start = X.d.copy()  # rhs the shifts are measured against
-    d_run: np.ndarray | None = None
-    for v in P.vertices:
-        shifted = d_start - scale * (C @ v)
-        d_run = shifted if d_run is None else np.minimum(d_run, shifted)
-        if prune:
-            cur = HPolytope(C, d_run)
-            if cur.is_empty():
-                return cur
-            keep = _irredundant_rows(C, d_run, 1e-8)
-            C, d_start, d_run = C[keep], d_start[keep], d_run[keep]
-    return HPolytope(C, d_run)
+    shifts = np.max(X.C @ P.vertices.T, axis=1)
+    return HPolytope(X.C.copy(), X.d - scale * shifts)
 
 
 def contains_point(X: HPolytope, x, tol: float = 1e-9) -> bool:

@@ -17,12 +17,9 @@ import numpy as np
 from .controller import MpcConfig, design_controller
 from .model import ModelError, Network, Subsystem, disturbance_set
 from .rci import DesignFailure, RciConfig
-from .verify import rci_certificate
+from .verify import inclusion_report, structural_report
 
 __all__ = ["PnpTransaction", "plug_in", "unplug"]
-
-#: invariance samples drawn per redesigned subsystem before a commit
-COMMIT_CHECK_SAMPLES = 100
 
 
 @dataclass
@@ -101,11 +98,12 @@ def plug_in(net: Network, controllers: dict, new_sub: Subsystem, new_couplings,
 
 
 def _commit_gate(tx: PnpTransaction, candidate: Network, controllers: dict) -> bool:
-    """Sampled invariance certificate on every redesigned controller."""
+    """Exact invariance certificate on every redesigned controller: the
+    identities of the solved invariant-set LP plus the strict inclusions."""
     for i in tx.redesign_set:
-        report = rci_certificate(candidate.subsystems[i], controllers[i].rci,
-                                 n_samples=COMMIT_CHECK_SAMPLES, seed=0)
-        if not report["passed"]:
+        rci = controllers[i].rci
+        if not (structural_report(rci)["passed"]
+                and inclusion_report(candidate.subsystems[i], rci)["passed"]):
             tx.outcomes[i] = "failed: invariance certificate"
             tx.reason = f"invariance certificate failed for subsystem {i}"
             tx.status = "rejected"

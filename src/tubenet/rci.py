@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    HPolytope,
-    VAggregate,
-    VPolytope,
-    box_vertices,
-    member_aggregate,
-)
+from .geometry import HPolytope, VAggregate, VPolytope, box_vertices
 from .model import Network, Subsystem, controllability_index, disturbance_set
 from .optim import STRICT_MARGIN, LinearProgram, SolveReport, ToleranceConfig, solve_lp
 
@@ -385,8 +379,6 @@ def synthesize_rci_from_w(sub: Subsystem, W: VAggregate,
         if sx.min() <= 0 or su.min() <= 0:
             return DesignFailure(sub.id, "solved design violates the strict inclusion margins",
                                  attempted)
-        if not member_aggregate(design.z_set(), np.zeros(sub.n)).feasible:
-            return DesignFailure(sub.id, "origin fell outside the invariant set", attempted)
         return design
     reason = "feasibility LP infeasible for all attempted k" if last is not None else "no attempt ran"
     if last is not None and last.status not in ("infeasible", "optimal"):

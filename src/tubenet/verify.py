@@ -1,9 +1,11 @@
 """Numerical certificates for a finished design.
 
-These checks are what `cmd_check` runs and what the plug-in transaction
-requires before committing: invariance under sampled states/disturbances,
-strict inclusion of the tube sections inside the constraints, homogeneity of
-the invariance control, and nonemptiness of the tightened sets.
+These checks are what `cmd_check` runs: the algebraic identities of the
+solved invariant-set LP, strict inclusion of the tube sections inside the
+constraints, containment of the tightened sets, and, as an independent
+sampled oracle, invariance under sampled states/disturbances and
+homogeneity of the invariance control. The plug-in transaction commits on
+the exact pair (`structural_report`, `inclusion_report`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .controller import TubeController, kappa_bar_full
-from .geometry import member_aggregate
+from .geometry import box_vertices, member_aggregate
 from .model import Subsystem
 from .rci import RciDesign
 
@@ -115,7 +117,15 @@ def homogeneity_report(design: RciDesign, n_samples: int = 100, seed: int = 0,
 
 def structural_report(design: RciDesign, tol: float = 1e-9) -> dict:
     """Algebraic identities of the solved parametrization: the one-step
-    vertex chain, the fold-back of the last block, and the origin pins."""
+    vertex chain, the fold-back of the last block, the origin pins, and the
+    seed block covering the coupling set.
+
+    Together they prove invariance exactly (Rakovic & Baric 2010): with
+    Z = sigma (Z_0 (+) ... (+) Z_{k-1}), the chain maps Z into
+    sigma (Z_1 (+) ... (+) Z_k), the fold-back puts Z_k in alpha conv(Z_0),
+    W lies in conv(Z_0), and sigma alpha + 1 = sigma. Input admissibility
+    is the separate `inclusion_report`.
+    """
     worst_chain = 0.0
     blocks = design.z_blocks + [design.z_terminal]
     for s in range(design.k):
@@ -128,14 +138,25 @@ def structural_report(design: RciDesign, tol: float = 1e-9) -> dict:
     rho_ok = bool(np.min(design.rho) >= -tol
                   and np.max(design.rho.sum(axis=1)) <= design.alpha + tol)
     pins = max(float(np.abs(b[0]).max()) for b in design.z_blocks + design.u_blocks)
+    # the seed block is a box's corners plus the origin, so its hull is that
+    # box, and W lies in it when W's interval hull does
+    seed = design.z_blocks[0]
+    lo, hi = seed[1:].min(axis=0), seed[1:].max(axis=0)
+    corners = box_vertices(lo, hi)
+    seed_is_box = (seed.shape[0] == corners.shape[0] + 1
+                   and float(np.abs(seed[1:] - corners).max()) <= tol)
+    w_lo, w_hi = design.w_set.bounds()
+    cover = float(min(np.min(w_lo - lo), np.min(hi - w_hi)))
     return {
         "name": "structure",
         "chain_residual": worst_chain,
         "fold_residual": worst_fold,
         "origin_pins": pins,
+        "cover_margin": cover,
         "alpha": design.alpha,
         "passed": bool(worst_chain <= tol and worst_fold <= tol and rho_ok
-                       and pins <= tol and 0.0 <= design.alpha < 1.0),
+                       and pins <= tol and seed_is_box and cover >= -tol
+                       and 0.0 <= design.alpha < 1.0),
     }
 
 

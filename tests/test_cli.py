@@ -250,6 +250,56 @@ def test_plug_and_unplug_commands(truck_paths, tmp_path):
     assert report2["transaction"]["outcomes"] == {}
 
 
+def test_plugged_subsystem_keeps_its_controller_config(truck_paths, tmp_path):
+    # the scenario's own horizon is 25: 18 shows the delta's setting survives a reload
+    _, bundle_path = truck_paths
+    delta = {
+        "add_subsystem": {
+            "id": "3", "A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [1.0]],
+            "X": {"C": np.vstack([np.eye(2), -np.eye(2)]).tolist(), "d": [2.0, 2.0, 2.0, 2.0]},
+            "U": {"C": [[1.0], [-1.0]], "d": [1.0, 1.0]},
+        },
+        "controller": {"horizon": 18},
+    }
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(delta))
+    plugged = tmp_path / "plugged.json"
+    assert main(["plug", str(dpath), str(bundle_path), "-o", str(plugged)]) == EXIT_OK
+    _, controllers, _ = load_bundle(plugged)
+    assert controllers["3"].cfg.N == 18
+    assert controllers["1"].cfg.N == 25
+
+
+@pytest.mark.parametrize("command", ["plug", "unplug"])
+def test_malformed_delta_names_json_path(truck_paths, tmp_path, capsys, command):
+    _, bundle_path = truck_paths
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps({"oops": 1}))
+    out = tmp_path / "out.json"
+    rc = main([command, str(dpath), str(bundle_path), "-o", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+    assert "schema violation at $" in capsys.readouterr().err
+
+
+def test_ill_shaped_unplug_override_names_json_path(truck_paths, tmp_path, capsys):
+    _, bundle_path = truck_paths
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps({"remove_subsystem": "1", "A_overrides": {"2": [[1.0]]}}))
+    rc = main(["unplug", str(dpath), str(bundle_path), "-o", str(tmp_path / "out.json")])
+    assert rc == EXIT_USAGE
+    assert "$.A_overrides.2" in capsys.readouterr().err
+
+
+def test_design_rejects_state_set_without_origin(tmp_path, capsys):
+    doc = truck_scenario(T=5)
+    doc["subsystems"][0]["X"]["d"][0] = -1.0
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["design", str(spath), "-o", str(tmp_path / "b.json")]) == EXIT_USAGE
+    assert "origin" in capsys.readouterr().err
+
+
 def test_plug_rejected_keeps_bundle_unchanged(truck_paths, tmp_path, capsys):
     scenario_path, bundle_path = truck_paths
     before = bundle_path.read_text()

@@ -20,7 +20,6 @@ from tubenet.geometry import (
     linear_image,
     member_aggregate,
     minkowski_sum_v,
-    remove_redundant,
     support_value,
     vertices_of,
 )
@@ -142,7 +141,7 @@ def test_erode_vpoly_box_minus_cross():
 
 def test_erode_vpoly_by_origin_is_identity():
     X = random_2d_polytope(np.random.default_rng(2))
-    out = erode_by_vpolytope(X, VPolytope.origin(2), 1.0, prune=False)
+    out = erode_by_vpolytope(X, VPolytope.origin(2), 1.0)
     assert np.allclose(out.d, X.d)
 
 
@@ -154,11 +153,25 @@ def test_erode_vpoly_box_minus_box():
         assert out.support(d) == pytest.approx(0.7, abs=1e-9)
 
 
+def _hexagon_witness():
+    """Non-box case where dropping rows redundant at an intermediate vertex
+    leaves a set larger than X (-) P (by 0.052 along some direction)."""
+    a = np.array([1.0301, 2.2345, 4.17, 4.331, 4.7121, 5.7499])
+    X = HPolytope(np.column_stack([np.cos(a), np.sin(a)]),
+                  [1.2515, 0.7737, 1.438, 0.5252, 0.6848, 0.7419])
+    P = VPolytope([[-0.2389, 0.0951], [0.3114, 0.3627], [0.0194, 0.1787], [0.1816, -0.1385]])
+    return X, P
+
+
+def _erosion_cases(rng):
+    for _ in range(5):
+        yield random_2d_polytope(rng), VPolytope(rng.normal(size=(4, 2)) * 0.15)
+    yield _hexagon_witness()
+
+
 def test_erode_vpoly_matches_support_oracle_random():
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        X = random_2d_polytope(rng)
-        P = VPolytope(rng.normal(size=(4, 2)) * 0.15)
+    for X, P in _erosion_cases(rng):
         mine = erode_by_vpolytope(X, P, 1.0)
         oracle = erode_support_oracle(X, P.vertices)
         if oracle.is_empty():
@@ -181,46 +194,6 @@ def test_erosion_inflation_duality():
         for _ in range(32):
             d = rng.normal(size=2)
             assert eroded.support(d) + P.support(d) <= X.support(d) + 1e-9
-
-
-# ------------------------------------------------------------ remove_redundant
-
-def test_remove_redundant_dominated_row():
-    X = HPolytope([[1.0], [1.0]], [1.0, 2.0])
-    out = remove_redundant(X)
-    assert out.n_rows == 1
-    assert out.d[0] == 1.0
-
-
-def test_remove_redundant_minimal_box_unchanged():
-    X = HPolytope.symmetric_box([1.0, 2.0])
-    out = remove_redundant(X)
-    assert out.n_rows == 4
-    assert np.array_equal(out.C, X.C)
-
-
-def test_remove_redundant_strips_far_cuts():
-    rng = np.random.default_rng(3)
-    X = HPolytope.symmetric_box([1.0, 1.0])
-    cuts_C, cuts_d = [], []
-    for _ in range(10):
-        c = rng.normal(size=2)
-        c /= np.linalg.norm(c)
-        cuts_C.append(c)
-        cuts_d.append(2.0 + rng.random())  # support of the box is at most sqrt(2)
-    stacked = HPolytope(np.vstack([X.C, cuts_C]), np.concatenate([X.d, cuts_d]))
-    out = remove_redundant(stacked)
-    assert out.n_rows == 4
-    assert np.array_equal(out.C, X.C)
-
-
-def test_remove_redundant_idempotent():
-    rng = np.random.default_rng(13)
-    X = random_2d_polytope(rng, n_points=14)
-    once = remove_redundant(X)
-    twice = remove_redundant(once)
-    assert np.array_equal(once.C, twice.C)
-    assert np.array_equal(once.d, twice.d)
 
 
 # -------------------------------------------------------------- contains_point

@@ -1,8 +1,12 @@
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from tubenet import pnp
 from tubenet.controller import MpcConfig
 from tubenet.model import Coupling, Network, Subsystem, discretize_exact
-from tubenet.geometry import HPolytope
+from tubenet.geometry import HPolytope, VAggregate, VPolytope
 from tubenet.pnp import plug_in, unplug
 from tubenet.rci import RciConfig
 from tubenet.scenarios import _power_area_matrices
@@ -76,6 +80,43 @@ def test_plug_rejected_when_successor_would_fail(truck_network, truck_controller
     assert tx.network is None and tx.controllers is None
     assert "2" in tx.reason or "failed" in tx.outcomes.get("2", "")
     # full rollback: inputs untouched
+    assert controllers_fingerprint(truck_controllers) == before
+    assert (len(truck_network.couplings), sorted(truck_network.ids)) == before_net
+
+
+def _perturb_fold_back(rci):
+    return replace(rci, z_terminal=rci.z_terminal + 1e-3)
+
+
+def _overspend_rho(rci):
+    rho = rci.rho.copy()
+    rho[:, 0] += rci.alpha + 0.1  # column of the origin vertex: fold-back unchanged
+    return replace(rci, rho=rho)
+
+
+def _widen_coupling_set(rci):
+    return replace(rci, w_set=VAggregate([VPolytope(rci.z_blocks[0])], 1.01))
+
+
+@pytest.mark.parametrize("tamper", [_perturb_fold_back, _overspend_rho, _widen_coupling_set],
+                         ids=["fold-back", "rho-row-sum", "w-outside-z0"])
+def test_commit_gate_rejects_broken_identity(truck_network, truck_controllers,
+                                             monkeypatch, tamper):
+    real_design = pnp.design_controller
+
+    def tampered_design(*args, **kwargs):
+        ctrl = real_design(*args, **kwargs)
+        return replace(ctrl, rci=tamper(ctrl.rci))
+
+    monkeypatch.setattr(pnp, "design_controller", tampered_design)
+    sub, coups = third_truck()
+    before = controllers_fingerprint(truck_controllers)
+    before_net = (len(truck_network.couplings), sorted(truck_network.ids))
+    tx = plug_in(truck_network, truck_controllers, sub, coups,
+                 truck_mpc_cfg(), RciConfig(minimize_alpha=True))
+    assert not tx.committed
+    assert tx.network is None and tx.controllers is None
+    assert tx.outcomes["3"] == "failed: invariance certificate"
     assert controllers_fingerprint(truck_controllers) == before
     assert (len(truck_network.couplings), sorted(truck_network.ids)) == before_net
 
