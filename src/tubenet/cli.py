@@ -2,7 +2,7 @@
 
 Scenario and bundle files are JSON; traces export to CSV plus a JSON metrics
 document. Exit codes: 0 ok, 1 usage or schema error, 2 design failure,
-3 runtime infeasibility.
+3 runtime infeasibility, 4 numerical failure of an online solve.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from jsonschema import Draft202012Validator
 from .controller import MpcConfig, TerminalData, TubeController
 from .geometry import GeometryError, HPolytope, VAggregate, VPolytope
 from .model import Coupling, ModelError, Network, Subsystem
+from .optim import STATUS_INFEASIBLE, blas_threads
 from .pnp import plug_in, unplug
 from .rci import DesignFailure, RciConfig, RciDesign
 from .sim import LoadStep, NaiveMpc, SimConfig, SimTrace, compute_metrics, run
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DESIGN = 2
 EXIT_INFEASIBLE = 3
+EXIT_NUMERICAL = 4
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
 _VECTOR = {"type": "array", "items": {"type": "number"}}
@@ -367,7 +369,7 @@ def design_scenario(scenario: Scenario, overrides: dict | None = None):
         results = [one(i) for i in ids]
 
     controllers, failures = {}, {}
-    report = {"subsystems": {}, "threads": workers}
+    report = {"subsystems": {}, "threads": workers, "blas_threads": blas_threads()}
     for i, result, elapsed in results:
         if isinstance(result, DesignFailure):
             failures[i] = result
@@ -458,14 +460,20 @@ def cmd_simulate(args) -> int:
     if args.metrics:
         _write_metrics(trace, scenario, args.metrics)
     if trace.infeasible_at is not None:
-        sub = scenario.network.subsystems[trace.infeasible_id]
-        x = np.asarray(trace.data[trace.infeasible_id]["x"][-1])
-        state_bad = not sub.X.contains(x, tol=1e-7)
-        detail = ("state constraints violated" if state_bad else "optimization infeasible")
-        print(f"infeasible at t={trace.infeasible_at}: subsystem "
-              f"{trace.infeasible_id} ({detail})", file=sys.stderr)
+        where = f"at t={trace.infeasible_at}: subsystem {trace.infeasible_id}"
+        if trace.infeasible_status != STATUS_INFEASIBLE:
+            print(f"numerical failure {where} (solver status {trace.infeasible_status})",
+                  file=sys.stderr)
+            code = EXIT_NUMERICAL
+        else:
+            sub = scenario.network.subsystems[trace.infeasible_id]
+            x = np.asarray(trace.data[trace.infeasible_id]["x"][-1])
+            state_bad = not sub.X.contains(x, tol=1e-7)
+            detail = ("state constraints violated" if state_bad else "optimization infeasible")
+            print(f"infeasible {where} ({detail})", file=sys.stderr)
+            code = EXIT_INFEASIBLE
         if not args.record_failure:
-            return EXIT_INFEASIBLE
+            return code
     print(f"simulated {trace.steps} steps, mode={cfg.mode}")
     return EXIT_OK
 
@@ -595,7 +603,8 @@ def cmd_check(args) -> int:
         report[i] = checks
         for chk in checks:
             all_pass &= bool(chk["passed"])
-            print(f"subsystem {i}: {chk['name']}: {'pass' if chk['passed'] else 'FAIL'}")
+            verdict = "skipped" if "skipped" in chk else "pass" if chk["passed"] else "FAIL"
+            print(f"subsystem {i}: {chk['name']}: {verdict}")
     doc = {"passed": all_pass, "samples": args.samples, "seed": args.seed,
            "subsystems": report}
     if args.out:

@@ -4,11 +4,15 @@ control applied on top of it.
 
 The applied input is always u = v + kappa(x - xhat), where (v, xhat) come
 from the nominal optimization and kappa keeps the true state inside the
-invariant tube section around the nominal trajectory.
+invariant tube section around the nominal trajectory. Online, the tube
+membership test and kappa are read off the explicit tube section
+(`section.py`); the LPs below define them and serve when the section is
+unavailable.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -16,10 +20,14 @@ import numpy as np
 
 from .geometry import HPolytope, VPolytope, erode_by_vpolytope, member_aggregate
 from .model import Subsystem
-from .optim import LinearProgram, QuadraticProgram, solve_lp, solve_qp
+from .optim import STATUS_FAILURE, LinearProgram, QuadraticProgram, solve_lp, solve_qp
 from .rci import DesignError, DesignFailure, RciConfig, RciDesign, synthesize_rci_from_w
+from .section import TubeSection, build_section
 
 log = logging.getLogger(__name__)
+
+#: tube membership of the shortcut: gauge <= 1 up to the LP's feasibility slack
+SHORTCUT_TOL = 1e-9
 
 __all__ = [
     "TerminalData",
@@ -138,6 +146,22 @@ class TubeController:
     def id(self) -> str:
         return self.sub.id
 
+    @functools.cached_property
+    def compiled(self) -> "CompiledController":
+        """Online solver state, built on first use (never during design)."""
+        return CompiledController(self.rci)
+
+
+class CompiledController:
+    """What the online path derives once per controller: the explicit tube
+    section (None when it is unavailable and the LPs serve), and the
+    nominal problem's constraint blocks, per setpoint, and Hessian."""
+
+    def __init__(self, rci: RciDesign):
+        self.section: TubeSection | None = build_section(rci)
+        self.constraints: dict = {}
+        self.hessian: np.ndarray | None = None
+
 
 @dataclass
 class MpcSolution:
@@ -190,10 +214,6 @@ def design_controller(sub: Subsystem, W, rci_cfg: RciConfig | None = None,
     return TubeController(sub, design, Xhat, V, cfg)
 
 
-def _beta_from_certificate(cert) -> list[np.ndarray]:
-    return [np.asarray(b, dtype=float) for b in cert.beta]
-
-
 def _setpoint_residual(sub: Subsystem, x_ref, u_ref, load_term) -> float:
     drift = sub.A @ x_ref + sub.B @ u_ref + load_term - x_ref
     return float(np.abs(drift).max(initial=0.0))
@@ -218,24 +238,37 @@ def solve_mpc(ctrl: TubeController, x, x_ref=None, u_ref=None, load_term=None) -
     if _setpoint_residual(sub, x_ref, u_ref, load_term) > 1e-7:
         raise ValueError("setpoint is not an equilibrium of the nominal model")
 
-    rci = ctrl.rci
     term = ctrl.cfg.terminal
     dev = x - x_ref
 
     # exact-setpoint shortcut (also makes u = u_ref + kappa(x - x_ref) exact)
     if (ctrl.Xhat.contains(x_ref, tol=0.0) and ctrl.V.contains(u_ref, tol=0.0)
             and (term.mode == "zero" or term.Xf.contains(np.zeros(n), tol=0.0))):
-        cert = member_aggregate(rci.z_set(), dev)
-        if cert.feasible:
+        beta = _tube_membership(ctrl, dev)
+        if beta is not None:
             xhat_seq = np.tile(x_ref, (N + 1, 1))
             v_seq = np.tile(u_ref, (N, 1))
             return MpcSolution("optimal", v0=u_ref.copy(), xhat0=x_ref.copy(),
-                               v_seq=v_seq, xhat_seq=xhat_seq,
-                               beta=_beta_from_certificate(cert), objective=0.0)
+                               v_seq=v_seq, xhat_seq=xhat_seq, beta=beta, objective=0.0)
 
     if ctrl.cfg.cost == "quadratic":
         return _solve_mpc_qp(ctrl, dev, x_ref, u_ref)
     return _solve_mpc_l1(ctrl, dev, x_ref, u_ref)
+
+
+def _tube_membership(ctrl: TubeController, dev: np.ndarray) -> list[np.ndarray] | None:
+    """Unit-sum coefficients per block representing dev in the tube section,
+    or None when dev lies outside it."""
+    section = ctrl.compiled.section
+    if section is None:
+        cert = member_aggregate(ctrl.rci.z_set(), dev)
+        return [np.asarray(b, dtype=float) for b in cert.beta] if cert.feasible else None
+    if section.gauge(dev) > 1.0 + SHORTCUT_TOL:
+        return None
+    _, mu, beta = section.law(dev)
+    beta = beta.reshape(ctrl.rci.k, ctrl.rci.q)
+    beta[:, 0] += max(1.0 - mu, 0.0)  # the rest on each block's origin vertex
+    return list(beta)
 
 
 def _mpc_layout(ctrl: TubeController):
@@ -255,10 +288,7 @@ def _mpc_constraints(ctrl: TubeController, dev: np.ndarray, x_ref, u_ref, n_extr
     Variable order: states (N+1)*n, inputs N*m, beta k*q, then n_extra
     caller-specific columns (the l1 epigraph variables).
     """
-    cache = getattr(ctrl, "_constraint_cache", None)
-    if cache is None:
-        cache = {}
-        ctrl._constraint_cache = cache
+    cache = ctrl.compiled.constraints
     key = (n_extra, x_ref.tobytes(), u_ref.tobytes())
     if key in cache:
         A_eq, b_eq_base, A_ub, b_ub, lb, NV, link_at = cache[key]
@@ -348,8 +378,9 @@ def _solve_mpc_qp(ctrl: TubeController, dev, x_ref, u_ref) -> MpcSolution:
     cfg = ctrl.cfg
     n, m, N, k, q, n_state, n_input, n_beta = _mpc_layout(ctrl)
     A_eq, b_eq, A_ub, b_ub, lb, NV = _mpc_constraints(ctrl, dev, x_ref, u_ref)
-    P = getattr(ctrl, "_hessian_cache", None)
-    if P is None or P.shape[0] != NV:
+    compiled = ctrl.compiled
+    P = compiled.hessian
+    if P is None:
         P = np.zeros((NV, NV))
         for j in range(N):
             P[j * n:(j + 1) * n, j * n:(j + 1) * n] = 2.0 * cfg.Q
@@ -357,7 +388,7 @@ def _solve_mpc_qp(ctrl: TubeController, dev, x_ref, u_ref) -> MpcSolution:
               n_state + j * m:n_state + (j + 1) * m] = 2.0 * cfg.R
         if cfg.terminal.mode == "custom":
             P[N * n:(N + 1) * n, N * n:(N + 1) * n] = 2.0 * cfg.terminal.S
-        ctrl._hessian_cache = P
+        compiled.hessian = P
     rep = solve_qp(QuadraticProgram(P, np.zeros(NV), A_ub=A_ub, b_ub=b_ub,
                                     A_eq=A_eq, b_eq=b_eq, lb=lb))
     if rep.status == "infeasible":
@@ -442,11 +473,7 @@ def kappa_bar_dis_full(rci: RciDesign, z, v, predecessor_states: dict,
     m = rci.u_blocks[0].shape[1]
     z = np.asarray(z, dtype=float).reshape(n)
     v = np.asarray(v, dtype=float).reshape(m)
-    w = np.zeros(n)
-    for j, Aij in couplings.items():
-        if j not in predecessor_states:
-            raise MissingPredecessorState(f"state of predecessor {j} not provided")
-        w = w + Aij @ np.asarray(predecessor_states[j], dtype=float)
+    w = _coupling_term(predecessor_states, couplings, n)
     k, q = rci.k, rci.q
     A_sub, B_sub = rci.A, rci.B
     NV = 1 + k * q + m  # mu, beta, u_z
@@ -472,9 +499,27 @@ def kappa_bar_dis_full(rci: RciDesign, z, v, predecessor_states: dict,
     return u_z, float(rep.x[0]), rep.x[1:1 + k * q]
 
 
+def _coupling_term(predecessor_states: dict, couplings: dict, n: int) -> np.ndarray:
+    """w = sum_j A_ij x_j over the measured predecessor states."""
+    w = np.zeros(n)
+    for j, Aij in couplings.items():
+        if j not in predecessor_states:
+            raise MissingPredecessorState(f"state of predecessor {j} not provided")
+        w = w + Aij @ np.asarray(predecessor_states[j], dtype=float)
+    return w
+
+
 def kappa_bar_dis(rci: RciDesign, z, v, predecessor_states: dict, couplings: dict,
                   U: HPolytope) -> np.ndarray:
     return kappa_bar_dis_full(rci, z, v, predecessor_states, couplings, U)[0]
+
+
+def _lp_law(ctrl: TubeController, law, *args):
+    """An invariance LP; its failure is a numerical one, not infeasibility."""
+    try:
+        return law(*args)
+    except RuntimeError as e:
+        raise InfeasibleStep(ctrl.id, STATUS_FAILURE) from e
 
 
 @dataclass
@@ -495,23 +540,38 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
 
     Distributed mode uses the predecessor-aware correction when every
     predecessor state is available; otherwise it logs and falls back to the
-    decentralized law. Infeasibility propagates as a RuntimeError carrying
-    the solution status.
+    decentralized law. Both laws are read off the explicit tube section when
+    it is available (the predecessor-aware law for one input only) and
+    solved as LPs otherwise. An infeasible nominal problem raises
+    InfeasibleStep with its status; a failed LP raises it with status
+    "numerical-failure".
     """
     sol = solve_mpc(ctrl, x, x_ref=x_ref, u_ref=u_ref, load_term=load_term)
     if not sol.feasible:
         raise InfeasibleStep(ctrl.id, sol.status)
     z = np.asarray(x, dtype=float) - sol.xhat0
+    section = ctrl.compiled.section
     mode = ctrl.cfg.mode
     if mode == "distributed" and couplings:
         try:
-            u_z, mu, beta = kappa_bar_dis_full(ctrl.rci, z, sol.v0,
-                                               predecessor_states or {}, couplings, ctrl.sub.U)
-            u = sol.v0 + u_z
-            return u, StepDiagnostics(sol.v0, sol.xhat0, mu, beta, sol.objective, "distributed", sol)
+            w = _coupling_term(predecessor_states or {}, couplings, ctrl.sub.n)
         except MissingPredecessorState as e:
             log.warning("%s: %s; falling back to the decentralized law", ctrl.id, e)
-    u_z, mu, beta = kappa_bar_full(ctrl.rci, z)
+        else:
+            sub = ctrl.sub
+            law = None
+            if section is not None:
+                law = section.successor_law(sub.A @ z + w, sub.U, sol.v0)
+            if law is None:
+                law = _lp_law(ctrl, kappa_bar_dis_full, ctrl.rci, z, sol.v0,
+                              predecessor_states, couplings, sub.U)
+            u_z, mu, beta = law
+            u = sol.v0 + u_z
+            return u, StepDiagnostics(sol.v0, sol.xhat0, mu, beta, sol.objective, "distributed", sol)
+    if section is not None:
+        u_z, mu, beta = section.law(z)
+    else:
+        u_z, mu, beta = _lp_law(ctrl, kappa_bar_full, ctrl.rci, z)
     u = sol.v0 + u_z
     kappa_mode = "decentralized" if mode == "decentralized" or not couplings else "fallback"
     return u, StepDiagnostics(sol.v0, sol.xhat0, mu, beta, sol.objective, kappa_mode, sol)

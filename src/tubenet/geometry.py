@@ -22,6 +22,7 @@ __all__ = [
     "GeometryError",
     "linear_image",
     "minkowski_sum_v",
+    "minkowski_hull",
     "erode_by_ball",
     "erode_by_vpolytope",
     "contains_point",
@@ -212,22 +213,52 @@ def minkowski_sum_v(P: VPolytope, Q: VPolytope, reduce: bool = False) -> VPolyto
     """All pairwise vertex sums; optionally reduced to hull vertices."""
     if P.n != Q.n:
         raise GeometryError("dimension mismatch in Minkowski sum")
-    pts = (P.vertices[:, None, :] + Q.vertices[None, :, :]).reshape(-1, P.n)
     if reduce:
-        pts = _hull_reduce(pts)
-    return VPolytope(pts)
+        try:
+            return VPolytope(minkowski_hull([P.vertices, Q.vertices])[0])
+        except GeometryError:
+            pass  # degenerate (flat) cloud: keep every sum
+    return VPolytope((P.vertices[:, None, :] + Q.vertices[None, :, :]).reshape(-1, P.n))
 
 
-def _hull_reduce(pts: np.ndarray) -> np.ndarray:
-    if pts.shape[1] == 1:
-        return np.array([[pts.min()], [pts.max()]])
+def minkowski_hull(blocks, max_points: int | None = None):
+    """Hull vertices of blocks[0] (+) ... (+) blocks[-1] (vertex arrays), an
+    incremental sum reduced to its hull vertices after each block.
+
+    Returns (vertices, picks, hull): picks[i, s] is the row of block s that
+    vertices[i] sums, and hull is the last qhull hull, whose point indices
+    refer to the cloud before its reduction (None for n = 1, where the sum is
+    the interval of the block extremes). Raises GeometryError when qhull
+    fails (a flat cloud) or a cloud exceeds max_points before qhull runs.
+    """
+    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
+    n = blocks[0].shape[1]
+    if n == 1:
+        picks = np.array([[b[:, 0].argmin() for b in blocks],
+                          [b[:, 0].argmax() for b in blocks]])
+        return sum(b[picks[:, s]] for s, b in enumerate(blocks)), picks, None
     from scipy.spatial import ConvexHull, QhullError
 
-    try:
-        hull = ConvexHull(pts)
-        return pts[np.sort(hull.vertices)]
-    except QhullError:
-        return pts  # degenerate (flat) cloud: keep as is
+    def reduce(pts, picks):
+        if max_points is not None and pts.shape[0] > max_points:
+            raise GeometryError(f"{pts.shape[0]} points exceed the hull cap {max_points}")
+        try:
+            hull = ConvexHull(pts)
+        except QhullError as e:
+            raise GeometryError(f"qhull failed: {e}") from None
+        keep = np.sort(hull.vertices)
+        return pts[keep], picks[keep], hull
+
+    pts, picks, hull = blocks[0], np.arange(blocks[0].shape[0])[:, None], None
+    for block in blocks[1:]:
+        q = block.shape[0]
+        pts = (pts[:, None, :] + block[None, :, :]).reshape(-1, n)
+        picks = np.column_stack([np.repeat(picks, q, axis=0),
+                                 np.tile(np.arange(q), picks.shape[0])])
+        pts, picks, hull = reduce(pts, picks)
+    if hull is None:  # a single block
+        pts, picks, hull = reduce(pts, picks)
+    return pts, picks, hull
 
 
 def erode_by_ball(X: HPolytope, beta: float) -> HPolytope:

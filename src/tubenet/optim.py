@@ -7,6 +7,9 @@ Both entry points are pure functions: identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import logging
 import os
 from dataclasses import dataclass, field
 
@@ -14,15 +17,76 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import linprog
 
-# every matrix here is small and dense; multithreaded BLAS kernels lose far
-# more to synchronization than they gain, so pin the pool (overridable)
-try:
-    from threadpoolctl import threadpool_limits
+log = logging.getLogger(__name__)
 
-    _BLAS_LIMIT = threadpool_limits(limits=int(os.environ.get("TUBENET_BLAS_THREADS", "1")),
-                                    user_api="blas")
-except Exception:  # pragma: no cover - threadpoolctl is optional
-    _BLAS_LIMIT = None
+#: (folder next to numpy, library glob, thread setter, thread getter) of the
+#: OpenBLAS builds that numpy and scipy wheels bundle
+_OPENBLAS = (
+    ("numpy.libs", "libscipy_openblas64_*.so",
+     "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy.libs", "libscipy_openblas*.so",
+     "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _bundled_openblas() -> list[tuple]:
+    """(setter, getter) of every bundled OpenBLAS already loaded here."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    found = []
+    for folder, pattern, set_name, get_name in _OPENBLAS:
+        for path in sorted(glob.glob(os.path.join(site, folder, pattern))):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+            except (OSError, AttributeError):
+                continue  # not loaded, or another build
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            found.append((setter, getter))
+    return found
+
+
+def _pin_blas():
+    """Cap the BLAS pool: every matrix here is small and dense, and
+    multithreaded kernels lose far more to synchronization than they gain.
+    Uses threadpoolctl when installed, else the bundled OpenBLAS setters;
+    warns when neither works. Returns what keeps a threadpoolctl limit."""
+    raw = os.environ.get("TUBENET_BLAS_THREADS", "1")
+    try:
+        threads = max(1, int(raw))
+    except ValueError:
+        log.warning("TUBENET_BLAS_THREADS=%r is not an integer; using 1", raw)
+        threads = 1
+    try:
+        from threadpoolctl import threadpool_limits
+
+        return threadpool_limits(limits=threads, user_api="blas")
+    except ImportError:
+        pass
+    except Exception as e:  # a broken threadpoolctl must not stop the import
+        log.warning("threadpoolctl failed (%s); using the bundled OpenBLAS setters", e)
+    for setter, _ in _OPENBLAS_API:
+        setter(threads)
+    if not _OPENBLAS_API:
+        log.warning("BLAS threads not capped: neither threadpoolctl nor a bundled "
+                    "OpenBLAS is available")
+    return None
+
+
+def blas_threads() -> int | None:
+    """Effective BLAS thread count (the largest over the loaded libraries),
+    or None when it cannot be read."""
+    try:
+        from threadpoolctl import threadpool_info
+
+        counts = [lib["num_threads"] for lib in threadpool_info() if lib["user_api"] == "blas"]
+    except Exception:  # missing or broken threadpoolctl
+        counts = [getter() for _, getter in _OPENBLAS_API]
+    return max(counts) if counts else None
+
+
+_OPENBLAS_API = _bundled_openblas()
+_BLAS_LIMIT = _pin_blas()
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"

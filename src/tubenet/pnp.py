@@ -152,10 +152,14 @@ def unplug(net: Network, controllers: dict, target: str, policy: str = "none",
     new_controllers = {i: c for i, c in controllers.items() if i != target}
     for i in overrides:
         old = candidate.subsystems[i]
-        candidate.subsystems[i] = Subsystem(
-            i, overrides[i], old.B, old.X, old.U, x_vertices=old.x_vertices,
-            L=old.L, setpoint_state_gain=old.setpoint_state_gain,
-            setpoint_input_gain=old.setpoint_input_gain)
+        try:
+            candidate.subsystems[i] = Subsystem(
+                i, overrides[i], old.B, old.X, old.U, x_vertices=old.x_vertices,
+                L=old.L, setpoint_state_gain=old.setpoint_state_gain,
+                setpoint_input_gain=old.setpoint_input_gain)
+        except ModelError as e:
+            tx.reason = f"invalid dynamics override for subsystem {i}: {e}"
+            return tx
     for i in tx.redesign_set:
         result = _redesign(candidate, i, controllers[i].cfg, rci_cfg)
         if isinstance(result, DesignFailure):

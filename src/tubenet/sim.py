@@ -83,6 +83,7 @@ class SimTrace:
         self.final_x = {}
         self.infeasible_at: int | None = None
         self.infeasible_id: str | None = None
+        self.infeasible_status: str | None = None  # "infeasible" or a solver failure
 
     @property
     def steps(self) -> int:
@@ -99,6 +100,7 @@ class SimTrace:
     def to_dict(self) -> dict:
         out = {"meta": self.meta, "ids": self.ids,
                "infeasible_at": self.infeasible_at, "infeasible_id": self.infeasible_id,
+               "infeasible_status": self.infeasible_status,
                "final_x": {i: np.asarray(v).tolist() for i, v in self.final_x.items()},
                "data": {}}
         for i in self.ids:
@@ -125,6 +127,7 @@ class SimTrace:
         tr = cls(doc["ids"], doc["meta"])
         tr.infeasible_at = doc.get("infeasible_at")
         tr.infeasible_id = doc.get("infeasible_id")
+        tr.infeasible_status = doc.get("infeasible_status")
         tr.final_x = {i: np.asarray(v, dtype=float) for i, v in doc.get("final_x", {}).items()}
         for i in tr.ids:
             src = doc["data"][i]
@@ -219,6 +222,9 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
 
     trace = SimTrace(ids, {"T": cfg.T, "mode": cfg.mode, "seed": cfg.seed,
                            "record_failure": cfg.record_failure})
+    for ctrl in controllers.values():
+        if isinstance(ctrl, TubeController):
+            ctrl.compiled  # build the explicit tube section outside the timed steps
     for t in range(cfg.T):
         snapshot = {i: states[i].copy() for i in ids}
         controls = {}
@@ -240,9 +246,10 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
                 else:  # coupling-blind baseline controller
                     u, info = ctrl.step(snapshot[i])
                     v0, xhat0, mu, obj = u, snapshot[i], 0.0, info["objective"]
-            except InfeasibleStep:
+            except InfeasibleStep as e:
                 trace.infeasible_at = t
                 trace.infeasible_id = i
+                trace.infeasible_status = e.status
                 trace.record(i, x=snapshot[i].copy(), u=np.full(sub.m, np.nan),
                              v=np.full(sub.m, np.nan), xhat=np.full(sub.n, np.nan),
                              x_ref=x_ref, u_ref=u_ref, mu=np.nan, objective=np.nan,

@@ -4,8 +4,10 @@ These checks are what `cmd_check` runs: the algebraic identities of the
 solved invariant-set LP, strict inclusion of the tube sections inside the
 constraints, containment of the tightened sets, and, as an independent
 sampled oracle, invariance under sampled states/disturbances and
-homogeneity of the invariance control. The plug-in transaction commits on
-the exact pair (`structural_report`, `inclusion_report`).
+homogeneity of the invariance control. `vertex_invariance_report` checks
+the explicit law served online exactly, at the vertices of the tube section.
+The plug-in transaction commits on the exact pair (`structural_report`,
+`inclusion_report`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "tube_containment_report",
     "homogeneity_report",
     "structural_report",
+    "vertex_invariance_report",
     "run_all_checks",
 ]
 
@@ -160,11 +163,37 @@ def structural_report(design: RciDesign, tol: float = 1e-9) -> dict:
     }
 
 
+def vertex_invariance_report(ctrl: TubeController) -> dict:
+    """Exact invariance of the explicit law: the largest gauge of
+    A p + B u(p) + w over every hull vertex p of the tube section (and
+    p = 0) and every corner w of the coupling set's interval hull. The law
+    is linear on each boundary cone, the gauge is convex and W lies in its
+    box, so this maximum bounds the successor gauge over Z x W; it must
+    stay below 1."""
+    section = ctrl.compiled.section
+    if section is None:
+        return {"name": "vertex_invariance", "passed": True,
+                "skipped": "no explicit tube section; the LP law serves"}
+    sub = ctrl.sub
+    inputs = np.array([section.law(p)[0] for p in section.vertices])  # the served law
+    succ = np.vstack([section.vertices @ sub.A.T + inputs @ sub.B.T, np.zeros((1, sub.n))])
+    corners = box_vertices(*ctrl.rci.w_set.bounds())
+    # the gauge is a max over facet rows, so the max over (p, w) pairs splits
+    worst = float(np.max((succ @ section.H.T).max(axis=0) + (corners @ section.H.T).max(axis=0)))
+    return {
+        "name": "vertex_invariance",
+        "max_gauge": worst,
+        **section.sizes,
+        "passed": bool(worst < 1.0),
+    }
+
+
 def run_all_checks(ctrl: TubeController, n_samples: int = 1000, seed: int = 0) -> list[dict]:
     reports = [
         structural_report(ctrl.rci),
         inclusion_report(ctrl.sub, ctrl.rci),
         tube_containment_report(ctrl),
+        vertex_invariance_report(ctrl),
     ]
     if n_samples > 0:
         reports.append(rci_certificate(ctrl.sub, ctrl.rci, n_samples=n_samples, seed=seed))

@@ -6,6 +6,7 @@ import pytest
 from tubenet.cli import (
     EXIT_DESIGN,
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     ScenarioError,
@@ -174,6 +175,24 @@ def test_simulate_naive_counterexample_exit3(tmp_path, capsys):
     assert "t=1" in err and "subsystem 1" in err and "state constraints" in err
     trace = SimTrace.from_json(tmp_path / "tr.json")
     assert trace.infeasible_at == 1
+    assert trace.infeasible_status == "infeasible"
+
+
+def test_simulate_numerical_failure_exit4(truck_paths, tmp_path, capsys, monkeypatch):
+    from tubenet import controller
+
+    scenario_path, bundle_path = truck_paths
+    monkeypatch.setattr(controller, "solve_mpc",
+                        lambda *args, **kwargs: controller.MpcSolution("numerical-failure"))
+    rc = main(["simulate", str(scenario_path), str(bundle_path),
+               "--trace", str(tmp_path / "tr.json")])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "infeasible" not in err
+    doc = json.loads((tmp_path / "tr.json").read_text())
+    assert doc["infeasible_status"] == "numerical-failure"
+    del doc["infeasible_status"]  # traces written before the field existed
+    assert SimTrace.from_dict(doc).infeasible_status is None
 
 
 def test_check_command(truck_paths, tmp_path):
@@ -195,6 +214,8 @@ def test_check_structural_only_with_zero_samples(truck_paths, tmp_path):
     assert doc["passed"] is True
     names = {c["name"] for c in doc["subsystems"]["1"]}
     assert "rci_certificate" not in names  # sampled suites skipped
+    exact = [c for c in doc["subsystems"]["1"] if c["name"] == "vertex_invariance"][0]
+    assert exact["passed"] and exact["max_gauge"] < 1.0
 
 
 def test_check_detects_corrupted_alpha(truck_paths, tmp_path):

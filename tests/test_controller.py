@@ -262,14 +262,24 @@ def test_step_zero_state_zero_input(truck_controllers):
 
 
 def test_step_inside_tube_uses_invariance_law(truck_controllers):
+    # beta is not unique: the step's (mu, beta) must be an optimal solution
+    # of the invariance LP, and u its input mix
     ctrl = truck_controllers["2"]
+    rci = ctrl.rci
+    zmat = rci.sigma * np.hstack([blk.T for blk in rci.z_blocks])
+    umat = rci.sigma * np.hstack([blk.T for blk in rci.u_blocks])
     rng = np.random.default_rng(9)
     for _ in range(10):
-        x = ctrl.rci.z_set().sample(rng)
+        x = rci.z_set().sample(rng)
         u, diag = step_control(ctrl, x)
         assert np.array_equal(diag.v0, np.zeros(1))
         assert np.array_equal(diag.xhat0, np.zeros(2))
-        assert np.allclose(u, kappa_bar(ctrl.rci, x), atol=1e-12)
+        _, mu_lp, _ = kappa_bar_full(rci, x)
+        assert abs(diag.mu - mu_lp) <= 1e-9
+        assert np.all(diag.beta >= -1e-12)
+        assert np.allclose(diag.beta.reshape(rci.k, rci.q).sum(axis=1), diag.mu, atol=1e-12)
+        assert np.allclose(zmat @ diag.beta, x, atol=1e-9)
+        assert np.allclose(u, umat @ diag.beta, atol=1e-12)
 
 
 def test_step_input_constraints_hold(truck_controllers):

@@ -19,6 +19,7 @@ from tubenet.geometry import (
     erode_by_vpolytope,
     linear_image,
     member_aggregate,
+    minkowski_hull,
     minkowski_sum_v,
     support_value,
     vertices_of,
@@ -73,6 +74,25 @@ def test_minkowski_cross_sum_supports():
     for _ in range(16):
         d = rng.normal(size=2)
         assert out.support(d) == pytest.approx(2.0 * CROSS_2D.support(d), abs=1e-12)
+
+
+def test_minkowski_reduce_keeps_hull_vertices():
+    out = minkowski_sum_v(UNIT_SQUARE, CROSS_2D, reduce=True)
+    assert {tuple(v) for v in out.vertices} == {
+        (2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)}
+    segment = VPolytope([[0.0], [1.0], [0.5]])
+    assert minkowski_sum_v(segment, segment, reduce=True).vertices.ravel().tolist() == [0.0, 2.0]
+    flat = VPolytope([[0, 0], [1, 1]])
+    assert minkowski_sum_v(flat, flat, reduce=True).n_vertices == 4  # qhull fails: kept
+
+
+def test_minkowski_hull_tracks_summands_and_caps_the_cloud():
+    blocks = [UNIT_SQUARE.vertices, CROSS_2D.vertices, np.zeros((1, 2))]
+    verts, picks, hull = minkowski_hull(blocks)
+    assert np.array_equal(verts, sum(b[picks[:, s]] for s, b in enumerate(blocks)))
+    assert verts.shape[0] == 8 and hull.vertices.shape[0] == 8
+    with pytest.raises(GeometryError, match="cap"):
+        minkowski_hull(blocks, max_points=15)
 
 
 # --------------------------------------------------------------- erode_by_ball

@@ -228,3 +228,51 @@ def test_iteration_cap_config():
     assert tol.iter_cap(10, 10) == 123
     assert DEFAULT_LP_TOL.iter_cap(3, 4) == 350
     assert DEFAULT_QP_TOL.opt_tol == 1e-6
+
+
+# ----------------------------------------------------------------- BLAS pool
+
+def test_blas_pool_is_capped_and_reported():
+    import os
+
+    from tubenet import optim
+    from tubenet.cli import design_scenario, scenario_from_dict
+    from tubenet.scenarios import truck_scenario
+
+    want = max(1, int(os.environ.get("TUBENET_BLAS_THREADS", "1")))
+    assert optim.blas_threads() == want
+    _, report, _ = design_scenario(scenario_from_dict(truck_scenario(T=5)))
+    assert report["blas_threads"] == want
+
+
+def test_blas_pin_warns_when_no_route_works(monkeypatch, caplog):
+    import sys
+
+    from tubenet import optim
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(optim, "_OPENBLAS_API", [])
+    with caplog.at_level("WARNING", logger="tubenet.optim"):
+        assert optim._pin_blas() is None
+    assert "not capped" in caplog.text
+    assert optim.blas_threads() is None
+
+
+def test_broken_threadpoolctl_falls_back_to_openblas(monkeypatch, caplog):
+    import sys
+    import types
+
+    from tubenet import optim
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("incompatible library")
+
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = fake.threadpool_info = broken
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    calls = []
+    monkeypatch.setattr(optim, "_OPENBLAS_API", [(calls.append, lambda: 1)])
+    with caplog.at_level("WARNING", logger="tubenet.optim"):
+        assert optim._pin_blas() is None
+    assert "threadpoolctl failed" in caplog.text and calls == [1]
+    assert optim.blas_threads() == 1

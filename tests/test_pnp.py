@@ -197,3 +197,14 @@ def test_unplug_rejects_override_for_target(truck_network, truck_controllers):
     tx = unplug(truck_network, truck_controllers, "1",
                 dynamics_overrides={"1": np.eye(2)})
     assert not tx.committed
+
+
+def test_unplug_rejects_ill_shaped_override(truck_network, truck_controllers):
+    before = controllers_fingerprint(truck_controllers)
+    before_net = (len(truck_network.couplings), sorted(truck_network.ids))
+    tx = unplug(truck_network, truck_controllers, "1", dynamics_overrides={"2": [[1.0]]})
+    assert not tx.committed
+    assert tx.network is None and tx.controllers is None
+    assert "subsystem 2" in tx.reason
+    assert controllers_fingerprint(truck_controllers) == before
+    assert (len(truck_network.couplings), sorted(truck_network.ids)) == before_net
