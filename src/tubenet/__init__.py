@@ -13,8 +13,6 @@ from .controller import (
     TerminalData,
     TubeController,
     design_controller,
-    kappa_bar,
-    kappa_bar_dis,
     solve_mpc,
     step_control,
     tighten_sets,
@@ -32,14 +30,14 @@ from .model import (
 )
 from .optim import LinearProgram, QuadraticProgram, SolveReport, ToleranceConfig, solve_lp, solve_qp
 from .pnp import PnpTransaction, plug_in, unplug
-from .rci import DesignFailure, RciConfig, RciDesign, synthesize_rci, synthesize_rci_from_w
+from .rci import DesignFailure, RciConfig, RciDesign, synthesize_rci_from_w
 from .sim import LoadStep, Metrics, SimConfig, SimTrace, compute_metrics, naive_mpc_controller, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "InfeasibleStep", "MpcConfig", "TerminalData", "TubeController",
-    "design_controller", "kappa_bar", "kappa_bar_dis", "solve_mpc",
+    "design_controller", "solve_mpc",
     "step_control", "tighten_sets",
     "HPolytope", "VAggregate", "VPolytope",
     "Coupling", "Network", "Subsystem", "build_mass_array",
@@ -48,8 +46,7 @@ __all__ = [
     "LinearProgram", "QuadraticProgram", "SolveReport", "ToleranceConfig",
     "solve_lp", "solve_qp",
     "PnpTransaction", "plug_in", "unplug",
-    "DesignFailure", "RciConfig", "RciDesign", "synthesize_rci",
-    "synthesize_rci_from_w",
+    "DesignFailure", "RciConfig", "RciDesign", "synthesize_rci_from_w",
     "LoadStep", "Metrics", "SimConfig", "SimTrace", "compute_metrics",
     "naive_mpc_controller", "run",
     "__version__",

@@ -54,10 +54,10 @@ _CONTROLLER = {
         "mode": {"enum": ["decentralized", "distributed"]},
         "cost": {"enum": ["quadratic", "l1"]},
         "k": {"type": "integer", "minimum": 1},
-        "q": {"type": "integer", "minimum": 2},
         "omega": {"type": "number", "exclusiveMinimum": 0},
         "minimize_alpha": {"type": "boolean"},
     },
+    "additionalProperties": False,
 }
 
 _ID = {"type": ["string", "integer"]}
@@ -137,6 +137,29 @@ UNPLUG_SCHEMA = {
 }
 
 
+#: design bundle: the embedded scenario (checked by SCENARIO_SCHEMA when it
+#: is ingested) and one solved design per subsystem; the design's arrays
+#: are checked when they are read, since a deep check costs more than the read
+_ARRAY, _NUMBER, _INTEGER = {"type": "array"}, {"type": "number"}, {"type": "integer"}
+_DESIGN = {
+    "type": "object",
+    "required": ["alpha", "k", "q", "omega", "z_blocks", "u_blocks", "z_terminal", "rho",
+                 "w_blocks", "w_sigma", "Xhat", "V"],
+    "properties": {"alpha": _NUMBER, "k": _INTEGER, "q": _INTEGER, "omega": _NUMBER,
+                   "z_blocks": _ARRAY, "u_blocks": _ARRAY, "z_terminal": _ARRAY, "rho": _ARRAY,
+                   "w_blocks": _ARRAY, "w_sigma": _NUMBER,
+                   "Xhat": {"type": "object", "required": ["C", "d"]},
+                   "V": {"type": "object", "required": ["C", "d"]}},
+}
+BUNDLE_SCHEMA = {
+    "type": "object",
+    "required": ["scenario", "scenario_fingerprint", "controllers"],
+    "properties": {"scenario": {"type": "object"}, "scenario_fingerprint": {"type": "string"},
+                   "controllers": {"type": "object", "additionalProperties": _DESIGN},
+                   "report": {"type": "object"}},
+}
+
+
 class ScenarioError(ValueError):
     pass
 
@@ -149,23 +172,25 @@ def fingerprint(doc) -> str:
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 
-def _check_schema(doc, schema: dict):
-    """Raise ScenarioError naming the JSON path of the first violation."""
+def _check_schema(doc, schema: dict, root: str = "$"):
+    """Raise ScenarioError naming the JSON path of the first violation; root
+    is the path of doc inside its file."""
     errors = sorted(Draft202012Validator(schema).iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         e = errors[0]
-        raise ScenarioError(f"schema violation at {e.json_path}: {e.message}")
+        raise ScenarioError(f"schema violation at {root}{e.json_path[1:]}: {e.message}")
 
 
-def validate_scenario(doc: dict):
-    """Schema check with JSON-path diagnostics, then shape consistency."""
-    _check_schema(doc, SCENARIO_SCHEMA)
+def validate_scenario(doc: dict, root: str = "$"):
+    """Schema check with JSON-path diagnostics, then shape consistency; root
+    is the path of doc inside its file."""
+    _check_schema(doc, SCENARIO_SCHEMA, root)
     ids = [str(s["id"]) for s in doc["subsystems"]]
     if len(set(ids)) != len(ids):
-        raise ScenarioError("schema violation at $.subsystems: ids are not unique")
+        raise ScenarioError(f"schema violation at {root}.subsystems: ids are not unique")
     dims = {}
     for idx, s in enumerate(doc["subsystems"]):
-        path = f"$.subsystems[{idx}]"
+        path = f"{root}.subsystems[{idx}]"
         A = np.asarray(s["A"], dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ScenarioError(f"ill-shaped matrix at {path}.A: expected square")
@@ -182,7 +207,7 @@ def validate_scenario(doc: dict):
                                     f"d has {d.shape[0]} rows, expected width {want}")
         dims[str(s["id"])] = (n, B.shape[1])
     for idx, c in enumerate(doc["couplings"]):
-        path = f"$.couplings[{idx}]"
+        path = f"{root}.couplings[{idx}]"
         src, dst = str(c["from"]), str(c["to"])
         if src not in dims or dst not in dims:
             raise ScenarioError(f"unknown subsystem reference at {path}")
@@ -192,9 +217,9 @@ def validate_scenario(doc: dict):
                                 f"expected ({dims[dst][0]}, {dims[src][0]})")
     for sid, x0 in doc["simulation"]["x0"].items():
         if str(sid) not in dims:
-            raise ScenarioError(f"unknown subsystem at $.simulation.x0.{sid}")
+            raise ScenarioError(f"unknown subsystem at {root}.simulation.x0.{sid}")
         if len(x0) != dims[str(sid)][0]:
-            raise ScenarioError(f"ill-shaped vector at $.simulation.x0.{sid}")
+            raise ScenarioError(f"ill-shaped vector at {root}.simulation.x0.{sid}")
 
 
 @dataclass
@@ -232,9 +257,14 @@ class Scenario:
                          terminal=term, mode=merged.get("mode", "decentralized"),
                          cost=merged.get("cost", "quadratic"))
 
+    def resolved_configs(self) -> dict:
+        """Every subsystem's controller settings, with default weights filled in."""
+        return {i: self.controller_config(i).resolved(sub.n, sub.m)
+                for i, sub in self.network.subsystems.items()}
+
     def rci_config(self, sid: str) -> RciConfig:
         merged = self._controller_doc(sid)
-        return RciConfig(k=merged.get("k"), q=merged.get("q"), omega=merged.get("omega"),
+        return RciConfig(k=merged.get("k"), omega=merged.get("omega"),
                          minimize_alpha=merged.get("minimize_alpha", False))
 
     def sim_config(self, mode: str | None = None, record_failure: bool = False) -> SimConfig:
@@ -248,8 +278,8 @@ class Scenario:
                          record_failure=record_failure)
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    validate_scenario(doc)
+def scenario_from_dict(doc: dict, root: str = "$") -> Scenario:
+    validate_scenario(doc, root)
     try:
         subs = []
         for s in doc["subsystems"]:
@@ -328,13 +358,19 @@ def save_bundle(path, scenario: Scenario, controllers: dict, report: dict):
 def load_bundle(path) -> tuple[Scenario, dict, dict]:
     with open(path) as fh:
         doc = json.load(fh)
-    scenario = scenario_from_dict(doc["scenario"])
+    _check_schema(doc, BUNDLE_SCHEMA)
+    scenario = scenario_from_dict(doc["scenario"], "$.scenario")
     if fingerprint(doc["scenario"]) != doc["scenario_fingerprint"]:
         raise ScenarioError("bundle fingerprint does not match its embedded scenario")
     controllers = {}
     for i, cdoc in doc["controllers"].items():
-        sub = scenario.network.subsystems[i]
-        controllers[i] = _design_from_dict(sub, cdoc, scenario.controller_config(i))
+        sub = scenario.network.subsystems.get(i)
+        if sub is None:
+            raise ScenarioError(f"unknown subsystem at $.controllers.{i}")
+        try:
+            controllers[i] = _design_from_dict(sub, cdoc, scenario.controller_config(i))
+        except (ValueError, IndexError, TypeError) as e:
+            raise ScenarioError(f"malformed design at $.controllers.{i}: {e}") from e
     return scenario, controllers, doc.get("report", {})
 
 
@@ -439,11 +475,8 @@ def cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.naive:
-            controllers = {i: NaiveMpc(scenario.network.subsystems[i],
-                                       N=scenario.controller_config(i).N,
-                                       Q=scenario.controller_config(i).Q,
-                                       R=scenario.controller_config(i).R)
-                           for i in scenario.network.ids}
+            controllers = {i: NaiveMpc(scenario.network.subsystems[i], N=cfg.N, Q=cfg.Q, R=cfg.R)
+                           for i, cfg in scenario.resolved_configs().items()}
         else:
             if args.bundle is None:
                 raise ScenarioError("a bundle is required unless --naive is given")
@@ -479,14 +512,9 @@ def cmd_simulate(args) -> int:
 
 
 def _write_metrics(trace: SimTrace, scenario: Scenario, path):
-    Q = {i: scenario.controller_config(i).resolved(scenario.network.subsystems[i].n,
-                                                   scenario.network.subsystems[i].m).Q
-         for i in scenario.network.ids}
-    R = {i: scenario.controller_config(i).resolved(scenario.network.subsystems[i].n,
-                                                   scenario.network.subsystems[i].m).R
-         for i in scenario.network.ids}
-    tie = _tie_gains(scenario)
-    compute_metrics(trace, scenario.network, Q=Q, R=R, tie_gains=tie,
+    cfgs = scenario.resolved_configs()
+    compute_metrics(trace, scenario.network, Q={i: c.Q for i, c in cfgs.items()},
+                    R={i: c.R for i, c in cfgs.items()}, tie_gains=_tie_gains(scenario),
                     ts=scenario.ts).to_json(path)
 
 

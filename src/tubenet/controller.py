@@ -40,9 +40,7 @@ __all__ = [
     "tighten_sets",
     "design_controller",
     "solve_mpc",
-    "kappa_bar",
     "kappa_bar_full",
-    "kappa_bar_dis",
     "kappa_bar_dis_full",
     "step_control",
 ]
@@ -153,14 +151,51 @@ class TubeController:
 
 
 class CompiledController:
-    """What the online path derives once per controller: the explicit tube
-    section (None when it is unavailable and the LPs serve), and the
-    nominal problem's constraint blocks, per setpoint, and Hessian."""
+    """What the online path derives once per controller: the invariance law
+    it serves, and the nominal problem's constraint blocks, per setpoint,
+    and Hessian.
+
+    The law is read off the explicit tube section, or, when the section is
+    unavailable, solved with the LPs that define it; the choice is made
+    here, once. The LPs are looked up in this module at call time, so a
+    wrapper installed on the module (the benchmark's tracer) sees each call.
+    """
 
     def __init__(self, rci: RciDesign):
+        self.rci = rci
         self.section: TubeSection | None = build_section(rci)
         self.constraints: dict = {}
         self.hessian: np.ndarray | None = None
+
+    def tube_beta(self, dev: np.ndarray) -> list[np.ndarray] | None:
+        """Unit-sum coefficients per block representing dev in the tube
+        section, or None when dev lies outside it."""
+        if self.section is None:
+            cert = member_aggregate(self.rci.z_set(), dev)
+            return [np.asarray(b, dtype=float) for b in cert.beta] if cert.feasible else None
+        if self.section.gauge(dev) > 1.0 + SHORTCUT_TOL:
+            return None
+        _, mu, beta = self.section.law(dev)
+        beta = beta.reshape(self.rci.k, self.rci.q)
+        beta[:, 0] += max(1.0 - mu, 0.0)  # the rest on each block's origin vertex
+        return list(beta)
+
+    def law(self, z) -> tuple[np.ndarray, float, np.ndarray]:
+        """Decentralized invariance law at error state z: (u, mu, beta)."""
+        if self.section is None:
+            return kappa_bar_full(self.rci, z)
+        return self.section.law(z)
+
+    def successor_law(self, z, v, predecessor_states: dict, couplings: dict,
+                      U: HPolytope) -> tuple[np.ndarray, float, np.ndarray]:
+        """Predecessor-aware invariance law: (u_z, mu, beta). Raises
+        MissingPredecessorState when a predecessor state is missing."""
+        if self.section is not None:
+            w = _coupling_term(predecessor_states, couplings, self.rci.A.shape[0])
+            law = self.section.successor_law(self.rci.A @ z + w, U, v)
+            if law is not None:
+                return law
+        return kappa_bar_dis_full(self.rci, z, v, predecessor_states, couplings, U)
 
 
 @dataclass
@@ -244,7 +279,7 @@ def solve_mpc(ctrl: TubeController, x, x_ref=None, u_ref=None, load_term=None) -
     # exact-setpoint shortcut (also makes u = u_ref + kappa(x - x_ref) exact)
     if (ctrl.Xhat.contains(x_ref, tol=0.0) and ctrl.V.contains(u_ref, tol=0.0)
             and (term.mode == "zero" or term.Xf.contains(np.zeros(n), tol=0.0))):
-        beta = _tube_membership(ctrl, dev)
+        beta = ctrl.compiled.tube_beta(dev)
         if beta is not None:
             xhat_seq = np.tile(x_ref, (N + 1, 1))
             v_seq = np.tile(u_ref, (N, 1))
@@ -254,21 +289,6 @@ def solve_mpc(ctrl: TubeController, x, x_ref=None, u_ref=None, load_term=None) -
     if ctrl.cfg.cost == "quadratic":
         return _solve_mpc_qp(ctrl, dev, x_ref, u_ref)
     return _solve_mpc_l1(ctrl, dev, x_ref, u_ref)
-
-
-def _tube_membership(ctrl: TubeController, dev: np.ndarray) -> list[np.ndarray] | None:
-    """Unit-sum coefficients per block representing dev in the tube section,
-    or None when dev lies outside it."""
-    section = ctrl.compiled.section
-    if section is None:
-        cert = member_aggregate(ctrl.rci.z_set(), dev)
-        return [np.asarray(b, dtype=float) for b in cert.beta] if cert.feasible else None
-    if section.gauge(dev) > 1.0 + SHORTCUT_TOL:
-        return None
-    _, mu, beta = section.law(dev)
-    beta = beta.reshape(ctrl.rci.k, ctrl.rci.q)
-    beta[:, 0] += max(1.0 - mu, 0.0)  # the rest on each block's origin vertex
-    return list(beta)
 
 
 def _mpc_layout(ctrl: TubeController):
@@ -458,11 +478,6 @@ def kappa_bar_full(rci: RciDesign, z) -> tuple[np.ndarray, float, np.ndarray]:
     return u, float(rep.x[0]), beta
 
 
-def kappa_bar(rci: RciDesign, z) -> np.ndarray:
-    """Invariance control value at error state z."""
-    return kappa_bar_full(rci, z)[0]
-
-
 def kappa_bar_dis_full(rci: RciDesign, z, v, predecessor_states: dict,
                        couplings: dict, U: HPolytope):
     """Predecessor-aware invariance control: place the *successor* error in
@@ -509,19 +524,6 @@ def _coupling_term(predecessor_states: dict, couplings: dict, n: int) -> np.ndar
     return w
 
 
-def kappa_bar_dis(rci: RciDesign, z, v, predecessor_states: dict, couplings: dict,
-                  U: HPolytope) -> np.ndarray:
-    return kappa_bar_dis_full(rci, z, v, predecessor_states, couplings, U)[0]
-
-
-def _lp_law(ctrl: TubeController, law, *args):
-    """An invariance LP; its failure is a numerical one, not infeasibility."""
-    try:
-        return law(*args)
-    except RuntimeError as e:
-        raise InfeasibleStep(ctrl.id, STATUS_FAILURE) from e
-
-
 @dataclass
 class StepDiagnostics:
     v0: np.ndarray
@@ -550,28 +552,21 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
     if not sol.feasible:
         raise InfeasibleStep(ctrl.id, sol.status)
     z = np.asarray(x, dtype=float) - sol.xhat0
-    section = ctrl.compiled.section
-    mode = ctrl.cfg.mode
-    if mode == "distributed" and couplings:
-        try:
-            w = _coupling_term(predecessor_states or {}, couplings, ctrl.sub.n)
-        except MissingPredecessorState as e:
-            log.warning("%s: %s; falling back to the decentralized law", ctrl.id, e)
+    compiled = ctrl.compiled
+    try:
+        if ctrl.cfg.mode == "distributed" and couplings:
+            try:
+                u_z, mu, beta = compiled.successor_law(z, sol.v0, predecessor_states or {},
+                                                       couplings, ctrl.sub.U)
+                kappa_mode = "distributed"
+            except MissingPredecessorState as e:
+                log.warning("%s: %s; falling back to the decentralized law", ctrl.id, e)
+                u_z, mu, beta = compiled.law(z)
+                kappa_mode = "fallback"
         else:
-            sub = ctrl.sub
-            law = None
-            if section is not None:
-                law = section.successor_law(sub.A @ z + w, sub.U, sol.v0)
-            if law is None:
-                law = _lp_law(ctrl, kappa_bar_dis_full, ctrl.rci, z, sol.v0,
-                              predecessor_states, couplings, sub.U)
-            u_z, mu, beta = law
-            u = sol.v0 + u_z
-            return u, StepDiagnostics(sol.v0, sol.xhat0, mu, beta, sol.objective, "distributed", sol)
-    if section is not None:
-        u_z, mu, beta = section.law(z)
-    else:
-        u_z, mu, beta = _lp_law(ctrl, kappa_bar_full, ctrl.rci, z)
+            u_z, mu, beta = compiled.law(z)
+            kappa_mode = "decentralized"
+    except RuntimeError as e:  # a failed invariance LP is numerical, not infeasibility
+        raise InfeasibleStep(ctrl.id, STATUS_FAILURE) from e
     u = sol.v0 + u_z
-    kappa_mode = "decentralized" if mode == "decentralized" or not couplings else "fallback"
     return u, StepDiagnostics(sol.v0, sol.xhat0, mu, beta, sol.objective, kappa_mode, sol)

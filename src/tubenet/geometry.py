@@ -21,13 +21,10 @@ __all__ = [
     "MembershipCertificate",
     "GeometryError",
     "linear_image",
-    "minkowski_sum_v",
     "minkowski_hull",
     "erode_by_ball",
     "erode_by_vpolytope",
-    "contains_point",
     "member_aggregate",
-    "support_value",
     "box_vertices",
     "vertices_of",
 ]
@@ -209,18 +206,6 @@ def linear_image(A, P: VPolytope) -> VPolytope:
     return VPolytope(P.vertices @ A.T)
 
 
-def minkowski_sum_v(P: VPolytope, Q: VPolytope, reduce: bool = False) -> VPolytope:
-    """All pairwise vertex sums; optionally reduced to hull vertices."""
-    if P.n != Q.n:
-        raise GeometryError("dimension mismatch in Minkowski sum")
-    if reduce:
-        try:
-            return VPolytope(minkowski_hull([P.vertices, Q.vertices])[0])
-        except GeometryError:
-            pass  # degenerate (flat) cloud: keep every sum
-    return VPolytope((P.vertices[:, None, :] + Q.vertices[None, :, :]).reshape(-1, P.n))
-
-
 def minkowski_hull(blocks, max_points: int | None = None):
     """Hull vertices of blocks[0] (+) ... (+) blocks[-1] (vertex arrays), an
     incremental sum reduced to its hull vertices after each block.
@@ -289,10 +274,6 @@ def erode_by_vpolytope(X: HPolytope, P: VPolytope, scale: float = 1.0) -> HPolyt
     return HPolytope(X.C.copy(), X.d - scale * shifts)
 
 
-def contains_point(X: HPolytope, x, tol: float = 1e-9) -> bool:
-    return X.contains(x, tol=tol)
-
-
 def member_aggregate(Z: VAggregate, x, tol: float = 0.0) -> MembershipCertificate:
     """Feasibility LP for x in sigma*(V_1 (+) ... (+) V_K).
 
@@ -339,11 +320,6 @@ def member_aggregate(Z: VAggregate, x, tol: float = 0.0) -> MembershipCertificat
     recon = Z.sigma * sum(b @ blk.vertices for b, blk in zip(beta, Z.blocks))
     return MembershipCertificate(feasible=True, beta=beta,
                                  residual=float(np.abs(recon - x).max(initial=0.0)))
-
-
-def support_value(P, direction) -> float:
-    """Support function of a VPolytope or VAggregate along a direction."""
-    return P.support(direction)
 
 
 def box_vertices(lo, hi) -> np.ndarray:

@@ -47,26 +47,21 @@ def _bundled_openblas() -> list[tuple]:
 
 
 def _pin_blas():
-    """Cap the BLAS pool: every matrix here is small and dense, and
-    multithreaded kernels lose far more to synchronization than they gain.
-    Uses threadpoolctl when installed, else the bundled OpenBLAS setters;
-    warns when neither works. Returns what keeps a threadpoolctl limit."""
-    raw = os.environ.get("TUBENET_BLAS_THREADS", "1")
-    try:
-        threads = max(1, int(raw))
-    except ValueError:
-        log.warning("TUBENET_BLAS_THREADS=%r is not an integer; using 1", raw)
-        threads = 1
+    """Cap the BLAS pool at one thread: every matrix here is small and dense,
+    and multithreaded kernels lose far more to synchronization than they
+    gain. Uses threadpoolctl when installed, else the bundled OpenBLAS
+    setters; warns when neither works. Returns what keeps a threadpoolctl
+    limit."""
     try:
         from threadpoolctl import threadpool_limits
 
-        return threadpool_limits(limits=threads, user_api="blas")
+        return threadpool_limits(limits=1, user_api="blas")
     except ImportError:
         pass
     except Exception as e:  # a broken threadpoolctl must not stop the import
         log.warning("threadpoolctl failed (%s); using the bundled OpenBLAS setters", e)
     for setter, _ in _OPENBLAS_API:
-        setter(threads)
+        setter(1)
     if not _OPENBLAS_API:
         log.warning("BLAS threads not capped: neither threadpoolctl nor a bundled "
                     "OpenBLAS is available")
@@ -103,11 +98,8 @@ class ToleranceConfig:
 
     feas_tol: float = 1e-8
     opt_tol: float = 1e-8
-    max_iter: int | None = None  # None: 50 * (n_vars + n_rows)
 
     def iter_cap(self, n_vars: int, n_rows: int) -> int:
-        if self.max_iter is not None:
-            return self.max_iter
         return 50 * (n_vars + n_rows)
 
 
@@ -137,11 +129,11 @@ def _as_vector(v, length: int | None, name: str, finite: bool = True) -> np.ndar
     return v
 
 
-@dataclass
-class LinearProgram:
-    """min c'x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub."""
+@dataclass(kw_only=True)
+class _Constrained:
+    """Constraint blocks shared by LinearProgram and QuadraticProgram:
+    A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub."""
 
-    c: np.ndarray
     A_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     A_eq: np.ndarray | None = None
@@ -149,9 +141,7 @@ class LinearProgram:
     lb: np.ndarray | None = None  # None means -inf for every variable
     ub: np.ndarray | None = None
 
-    def __post_init__(self):
-        self.c = _as_vector(self.c, None, "c")
-        n = self.c.shape[0]
+    def _coerce_constraints(self, n: int):
         self.A_ub = _as_matrix(self.A_ub, n, "A_ub")
         self.A_eq = _as_matrix(self.A_eq, n, "A_eq")
         self.b_ub = _as_vector(self.b_ub, None if self.A_ub is None else self.A_ub.shape[0], "b_ub")
@@ -162,17 +152,8 @@ class LinearProgram:
         self.ub = _as_vector(self.ub, n, "ub", finite=False)
 
     @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
-    @property
     def n_rows(self) -> int:
-        rows = 0
-        if self.A_ub is not None:
-            rows += self.A_ub.shape[0]
-        if self.A_eq is not None:
-            rows += self.A_eq.shape[0]
-        return rows
+        return sum(A.shape[0] for A in (self.A_ub, self.A_eq) if A is not None)
 
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         lb = np.full(self.n, -np.inf) if self.lb is None else self.lb
@@ -181,24 +162,33 @@ class LinearProgram:
 
 
 @dataclass
-class QuadraticProgram:
-    """min 0.5 x'Px + q'x with the same constraint blocks as LinearProgram.
+class LinearProgram(_Constrained):
+    """min c'x subject to the constraint blocks."""
+
+    c: np.ndarray
+
+    def __post_init__(self):
+        self.c = _as_vector(self.c, None, "c")
+        self._coerce_constraints(self.n)
+
+    @property
+    def n(self) -> int:
+        return self.c.shape[0]
+
+
+@dataclass
+class QuadraticProgram(_Constrained):
+    """min 0.5 x'Px + q'x subject to the constraint blocks.
 
     P must be symmetric (1e-10) and positive semidefinite (eigenvalues >= -1e-8).
     """
 
     P: np.ndarray
     q: np.ndarray
-    A_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
 
     def __post_init__(self):
         self.q = _as_vector(self.q, None, "q")
-        n = self.q.shape[0]
+        n = self.n
         self.P = _as_matrix(self.P, n, "P")
         if self.P.shape[0] != n:
             raise ValueError(f"P is {self.P.shape}, expected ({n}, {n})")
@@ -206,30 +196,11 @@ class QuadraticProgram:
             raise ValueError("P is not symmetric within 1e-10")
         if np.min(np.linalg.eigvalsh(self.P)) < -1e-8:
             raise ValueError("P is not positive semidefinite (eigenvalue < -1e-8)")
-        self.A_ub = _as_matrix(self.A_ub, n, "A_ub")
-        self.A_eq = _as_matrix(self.A_eq, n, "A_eq")
-        self.b_ub = _as_vector(self.b_ub, None if self.A_ub is None else self.A_ub.shape[0], "b_ub")
-        self.b_eq = _as_vector(self.b_eq, None if self.A_eq is None else self.A_eq.shape[0], "b_eq")
-        self.lb = _as_vector(self.lb, n, "lb", finite=False)
-        self.ub = _as_vector(self.ub, n, "ub", finite=False)
+        self._coerce_constraints(n)
 
     @property
     def n(self) -> int:
         return self.q.shape[0]
-
-    @property
-    def n_rows(self) -> int:
-        rows = 0
-        if self.A_ub is not None:
-            rows += self.A_ub.shape[0]
-        if self.A_eq is not None:
-            rows += self.A_eq.shape[0]
-        return rows
-
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lb = np.full(self.n, -np.inf) if self.lb is None else self.lb
-        ub = np.full(self.n, np.inf) if self.ub is None else self.ub
-        return lb, ub
 
 
 @dataclass
@@ -271,18 +242,13 @@ _LINPROG_STATUS = {
 }
 
 
-def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL,
-             backend: str = "highs") -> SolveReport:
-    """Solve a linear program.
+def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL) -> SolveReport:
+    """Solve a linear program with HiGHS.
 
     Optimal reports carry the primal point, objective, dual marginals and the
     measured feasibility residual. Infeasible/unbounded outcomes are reported
     explicitly, never silently.
     """
-    return LP_BACKENDS[backend](p, tol)
-
-
-def _solve_lp_highs(p: LinearProgram, tol: ToleranceConfig) -> SolveReport:
     lb, ub = p.bounds_arrays()
     res = linprog(
         p.c,
@@ -326,23 +292,6 @@ def _solve_lp_highs(p: LinearProgram, tol: ToleranceConfig) -> SolveReport:
     )
 
 
-def lp_dual_objective(p: LinearProgram, report: SolveReport) -> float:
-    """Dual objective reconstructed from HiGHS marginals (certifies the primal)."""
-    if not report.optimal:
-        raise ValueError("dual objective requires an optimal report")
-    lb, ub = p.bounds_arrays()
-    val = 0.0
-    if report.duals["ineq"] is not None and p.b_ub is not None:
-        val += float(p.b_ub @ report.duals["ineq"])
-    if report.duals["eq"] is not None and p.b_eq is not None:
-        val += float(p.b_eq @ report.duals["eq"])
-    mask = np.isfinite(lb)
-    val += float(lb[mask] @ report.duals["lower"][mask])
-    mask = np.isfinite(ub)
-    val += float(ub[mask] @ report.duals["upper"][mask])
-    return val
-
-
 def _stack_inequalities(p) -> tuple[np.ndarray, np.ndarray]:
     """Fold A_ub rows and finite variable bounds into a single G x <= h block."""
     n = p.n
@@ -382,7 +331,7 @@ def _solve_kkt_equality(P, q, A, b, reg=1e-12):
     return sol[:n], sol[n:]
 
 
-def _qp_interior_point(P, q, A, b, G, h, x0, tol: ToleranceConfig, max_iter: int):
+def _qp_interior_point(P, q, A, b, G, h, x0, tol: ToleranceConfig, iter_limit: int):
     """Mehrotra predictor-corrector for min 0.5 x'Px + q'x, Ax=b, Gx<=h.
 
     Returns (x, y, z, status, iterations). Assumes a feasible point exists
@@ -399,7 +348,7 @@ def _qp_interior_point(P, q, A, b, G, h, x0, tol: ToleranceConfig, max_iter: int
                       np.abs(b).max(initial=0.0) if me else 0.0)
     reg = 1e-10 * (1.0 + np.abs(P).max(initial=0.0))
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, iter_limit + 1):
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))
                 and np.all(s > 0) and np.all(z > 0)):
             return x, y, z, STATUS_FAILURE, it  # iterates degenerated (e.g. infeasible problem)
@@ -474,7 +423,7 @@ def _qp_interior_point(P, q, A, b, G, h, x0, tol: ToleranceConfig, max_iter: int
 
     # iteration budget exhausted: accept if the contract tolerance is still met
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
-        return x, y, z, STATUS_FAILURE, max_iter
+        return x, y, z, STATUS_FAILURE, iter_limit
     r_d = P @ x + q + G.T @ z + (A.T @ y if me else 0.0)
     r_p = (A @ x - b) if me else np.zeros(0)
     r_g = G @ x + s - h
@@ -483,8 +432,8 @@ def _qp_interior_point(P, q, A, b, G, h, x0, tol: ToleranceConfig, max_iter: int
     dinf = np.abs(r_d).max(initial=0.0)
     comp = float(np.max(s * z, initial=0.0))
     if pinf <= tol.feas_tol * scale and dinf <= tol.opt_tol * scale and comp <= tol.opt_tol * (1.0 + abs(obj)):
-        return x, y, z, STATUS_OPTIMAL, max_iter
-    return x, y, z, STATUS_FAILURE, max_iter
+        return x, y, z, STATUS_OPTIMAL, iter_limit
+    return x, y, z, STATUS_FAILURE, iter_limit
 
 
 def qp_kkt_residual(p: QuadraticProgram, x: np.ndarray, y_eq: np.ndarray | None,
@@ -503,18 +452,11 @@ def qp_kkt_residual(p: QuadraticProgram, x: np.ndarray, y_eq: np.ndarray | None,
     return res
 
 
-def solve_qp(p: QuadraticProgram, tol: ToleranceConfig = DEFAULT_QP_TOL,
-             backend: str = "dense-ipm") -> SolveReport:
-    """Solve a convex quadratic program.
-
-    The reference backend is a self-contained dense predictor-corrector
-    interior-point method; a failed run is classified with a feasibility LP,
-    so infeasibility is always reported, never silent.
+def solve_qp(p: QuadraticProgram, tol: ToleranceConfig = DEFAULT_QP_TOL) -> SolveReport:
+    """Solve a convex quadratic program with a self-contained dense
+    predictor-corrector interior-point method; a failed run is classified
+    with a feasibility LP, so infeasibility is always reported, never silent.
     """
-    return QP_BACKENDS[backend](p, tol)
-
-
-def _solve_qp_ipm(p: QuadraticProgram, tol: ToleranceConfig) -> SolveReport:
     n = p.n
     G, h = _stack_inequalities(p)
     has_eq = p.A_eq is not None and p.A_eq.shape[0] > 0
@@ -540,9 +482,9 @@ def _solve_qp_ipm(p: QuadraticProgram, tol: ToleranceConfig) -> SolveReport:
                            residuals={"primal": _primal_residual(p, x), "kkt": kkt},
                            duals={"eq": y})
 
-    max_iter = max(min(tol.iter_cap(n, p.n_rows), 200), 50)
+    iter_limit = max(min(tol.iter_cap(n, p.n_rows), 200), 50)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, y, z, status, iters = _qp_interior_point(p.P, p.q, A, b, G, h, np.zeros(n), tol, max_iter)
+        x, y, z, status, iters = _qp_interior_point(p.P, p.q, A, b, G, h, np.zeros(n), tol, iter_limit)
     if status != STATUS_OPTIMAL:
         # classify: run the feasibility LP only on the failure path
         feas = solve_lp(
@@ -556,7 +498,7 @@ def _solve_qp_ipm(p: QuadraticProgram, tol: ToleranceConfig) -> SolveReport:
             # provably feasible: retry once from the certified point
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 x, y, z, status, iters = _qp_interior_point(
-                    p.P, p.q, A, b, G, h, feas.x, tol, 2 * max_iter)
+                    p.P, p.q, A, b, G, h, feas.x, tol, 2 * iter_limit)
     if status != STATUS_OPTIMAL:
         return SolveReport(status=status, iterations=iters, message="interior point did not converge"
                            if status == STATUS_FAILURE else "")
@@ -571,7 +513,3 @@ def _solve_qp_ipm(p: QuadraticProgram, tol: ToleranceConfig) -> SolveReport:
         iterations=iters,
     )
 
-
-#: solver registries; register alternatives here, the defaults stay in-process
-LP_BACKENDS = {"highs": _solve_lp_highs}
-QP_BACKENDS = {"dense-ipm": _solve_qp_ipm}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import HPolytope, VAggregate, VPolytope, box_vertices
-from .model import Network, Subsystem, controllability_index, disturbance_set
+from .model import Subsystem, controllability_index
 from .optim import STRICT_MARGIN, LinearProgram, SolveReport, ToleranceConfig, solve_lp
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "DesignFailure",
     "build_z0",
     "default_omega",
-    "assemble_theta",
-    "synthesize_rci",
     "synthesize_rci_from_w",
 ]
 
@@ -39,15 +37,14 @@ class DesignError(Exception):
 
 @dataclass
 class RciConfig:
-    """Synthesis knobs: step count k, vertices per block q, seed inflation omega.
+    """Synthesis knobs: step count k and seed inflation omega.
 
     Unset fields are derived: k from the controllability index, omega from the
-    slack between the disturbance set and the state constraints, q from the
-    seed box (2^n corners plus the origin).
+    slack between the disturbance set and the state constraints. Every block
+    has the seed box's 2^n corners plus the origin as vertices.
     """
 
     k: int | None = None
-    q: int | None = None
     omega: float | None = None
     minimize_alpha: bool = False
     retries: int = 3  # additional k values tried before giving up
@@ -56,8 +53,6 @@ class RciConfig:
         ci = controllability_index(sub.A, sub.B)
         if self.k is not None and self.k < ci:
             raise DesignError(f"k={self.k} is below the controllability index {ci}")
-        if self.q is not None and self.q < sub.n + 1:
-            raise DesignError(f"q={self.q} must be at least n+1={sub.n + 1}")
         if self.omega is not None and self.omega <= 0:
             raise DesignError("omega must be positive")
         if self.retries < 0:
@@ -292,16 +287,6 @@ class ThetaProblem:
         return alpha, z_blocks, u_blocks, z_terminal, rho
 
 
-def assemble_theta(sub: Subsystem, z0: VPolytope, cfg: RciConfig) -> LinearProgram:
-    """Feasibility LP whose solutions parametrize an invariant set for sub."""
-    cfg.validate(sub)
-    k = cfg.k if cfg.k is not None else controllability_index(sub.A, sub.B)
-    problem = ThetaProblem(sub, z0, k)
-    if cfg.q is not None and cfg.q != problem.q:
-        raise DesignError(f"q={cfg.q} does not match the seed block ({problem.q} vertices)")
-    return problem.build_lp(minimize_alpha=cfg.minimize_alpha)
-
-
 @dataclass
 class RciDesign:
     """Solved invariant-set parametrization for one subsystem.
@@ -385,8 +370,3 @@ def synthesize_rci_from_w(sub: Subsystem, W: VAggregate,
         reason = f"feasibility LP ended with status {last.status}"
     return DesignFailure(sub.id, reason, attempted)
 
-
-def synthesize_rci(sub: Subsystem, net: Network,
-                   cfg: RciConfig | None = None) -> RciDesign | DesignFailure:
-    """Design the invariant set for one subsystem of a network."""
-    return synthesize_rci_from_w(sub, disturbance_set(net, sub.id), cfg)

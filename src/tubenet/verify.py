@@ -4,8 +4,10 @@ These checks are what `cmd_check` runs: the algebraic identities of the
 solved invariant-set LP, strict inclusion of the tube sections inside the
 constraints, containment of the tightened sets, and, as an independent
 sampled oracle, invariance under sampled states/disturbances and
-homogeneity of the invariance control. `vertex_invariance_report` checks
-the explicit law served online exactly, at the vertices of the tube section.
+homogeneity of the invariance law the controller serves (its explicit
+section law, or the LP when the section is unavailable).
+`vertex_invariance_report` checks the explicit law exactly, at the vertices
+of the tube section.
 The plug-in transaction commits on the exact pair (`structural_report`,
 `inclusion_report`).
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controller import TubeController, kappa_bar_full
+from .controller import TubeController
 from .geometry import box_vertices, member_aggregate
 from .model import Subsystem
 from .rci import RciDesign
@@ -30,18 +32,20 @@ __all__ = [
 ]
 
 
-def rci_certificate(sub: Subsystem, design: RciDesign, n_samples: int = 1000,
-                    seed: int = 0, tol: float = 1e-6) -> dict:
-    """Sampled invariance check: states from the invariant set, disturbances
-    from the coupling set, successors must stay members (within tol)."""
+def rci_certificate(ctrl: TubeController, n_samples: int = 1000, seed: int = 0,
+                    tol: float = 1e-6) -> dict:
+    """Sampled invariance check of the served law: states from the invariant
+    set, disturbances from the coupling set, successors must stay members
+    (within tol) by the independent membership LP."""
     rng = np.random.default_rng(seed)
+    sub, design = ctrl.sub, ctrl.rci
     Z = design.z_set()
     failures = 0
     input_violations = 0
     for _ in range(n_samples):
         x = Z.sample(rng)
         w = design.w_set.sample(rng)
-        u, mu, _ = kappa_bar_full(design, x)
+        u, _, _ = ctrl.compiled.law(x)
         if not sub.U.contains(u, tol=1e-7):
             input_violations += 1
         succ = sub.A @ x + sub.B @ u + w
@@ -88,23 +92,23 @@ def tube_containment_report(ctrl: TubeController) -> dict:
     }
 
 
-def homogeneity_report(design: RciDesign, n_samples: int = 100, seed: int = 0,
+def homogeneity_report(ctrl: TubeController, n_samples: int = 100, seed: int = 0,
                        rhos=(0.0, 0.3, 1.0, 2.0), tol: float = 1e-7) -> dict:
-    """Value-level homogeneity of the invariance control: the optimal
-    occupancy scales linearly and the scaled control stays feasible and
+    """Value-level homogeneity of the served invariance law: the optimal
+    occupancy scales linearly and the scaled coefficients stay feasible and
     optimal for the scaled state (optimizer uniqueness is not assumed)."""
     rng = np.random.default_rng(seed)
+    design, law = ctrl.rci, ctrl.compiled.law
     Z = design.z_set()
     zmat = design.sigma * np.hstack([blk.T for blk in design.z_blocks])
     worst = 0.0
-    u0, mu0, _ = kappa_bar_full(design, np.zeros(design.A.shape[0]))
+    u0, mu0, _ = law(np.zeros(design.A.shape[0]))
     zero_exact = mu0 == 0.0 and not np.any(u0)
     for _ in range(n_samples):
         z = Z.sample(rng)
-        _, mu, beta = kappa_bar_full(design, z)
+        _, mu, beta = law(z)
         for rho in rhos:
-            _, mu_r, _ = kappa_bar_full(design, rho * z)
-            worst = max(worst, abs(mu_r - rho * mu))
+            _, mu_r, _ = law(rho * z)
             # the rho-scaled optimizer stays feasible for the scaled state
             # and achieves the scaled optimum
             link_residual = float(np.abs(zmat @ (rho * beta) - rho * z).max(initial=0.0))
@@ -196,6 +200,6 @@ def run_all_checks(ctrl: TubeController, n_samples: int = 1000, seed: int = 0) -
         vertex_invariance_report(ctrl),
     ]
     if n_samples > 0:
-        reports.append(rci_certificate(ctrl.sub, ctrl.rci, n_samples=n_samples, seed=seed))
-        reports.append(homogeneity_report(ctrl.rci, n_samples=max(10, n_samples // 10), seed=seed))
+        reports.append(rci_certificate(ctrl, n_samples=n_samples, seed=seed))
+        reports.append(homogeneity_report(ctrl, n_samples=max(10, n_samples // 10), seed=seed))
     return reports

@@ -12,7 +12,6 @@ import pytest
 from util_geom import erode_support_oracle, minkowski_cloud, random_2d_polytope
 
 from tubenet.cli import bundle_to_dict, design_scenario, scenario_from_dict
-from tubenet.controller import kappa_bar_full
 from tubenet.geometry import (
     HPolytope,
     VPolytope,
@@ -77,7 +76,7 @@ def test_criterion_2_rci_certificate(truck_network, truck_controllers):
         for _ in range(1000):
             x = Z.sample(rng)
             w = design.w_set.sample(rng)
-            u, _, _ = kappa_bar_full(design, x)
+            u, _, _ = truck_controllers[i].compiled.law(x)  # the served law
             succ = sub.A @ x + sub.B @ u + w
             if not member_aggregate(Z, succ, tol=1e-6).feasible:
                 failures += 1
@@ -159,20 +158,21 @@ def test_criterion_4_geometry_oracles():
 
 def test_criterion_5_homogeneity(truck_controllers):
     design = truck_controllers["2"].rci
+    law = truck_controllers["2"].compiled.law  # the served law
     rng = np.random.default_rng(55)
     Z = design.z_set()
     zmat = design.sigma * np.hstack([blk.T for blk in design.z_blocks])
     worst = 0.0
     for _ in range(100):
         z = Z.sample(rng)
-        _, mu, beta = kappa_bar_full(design, z)
+        _, mu, beta = law(z)
         for rho in (0.0, 0.3, 1.0, 2.0):
-            _, mu_r, _ = kappa_bar_full(design, rho * z)
+            _, mu_r, _ = law(rho * z)
             worst = max(worst, abs(mu_r - rho * mu))
             # the scaled optimizer must stay feasible and attain the optimum
             link = float(np.abs(zmat @ (rho * beta) - rho * z).max(initial=0.0))
             worst = max(worst, link, abs(rho * mu - mu_r))
-    u0, mu0, beta0 = kappa_bar_full(design, np.zeros(2))
+    u0, mu0, beta0 = law(np.zeros(2))
     zero_exact = mu0 == 0.0 and not np.any(u0) and not np.any(beta0)
     report(5, "invariance-control homogeneity",
            worst <= 1e-7 and zero_exact,

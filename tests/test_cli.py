@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from tubenet.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    PLUG_SCHEMA,
     ScenarioError,
+    _check_schema,
     design_scenario,
     fingerprint,
     load_bundle,
@@ -27,6 +31,8 @@ from tubenet.scenarios import (
     truck_scenario,
 )
 from tubenet.sim import SimTrace, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +83,31 @@ def test_schema_bad_x0():
         validate_scenario(doc)
 
 
-def test_builtin_scenarios_validate():
-    for doc in (truck_scenario(), power_scenario(), power_scenario(POWER_TOPOLOGY_5),
-                counterexample_scenario(), mass_scenario(2, 2, seed=1)):
+def test_builtin_scenarios_validate(monkeypatch):
+    shipped = [json.loads(path.read_text()) for path in sorted(ROOT.glob("scenarios/*.json"))]
+    assert len(shipped) == 4
+    for doc in [truck_scenario(), power_scenario(), power_scenario(POWER_TOPOLOGY_5),
+                counterexample_scenario(), mass_scenario(2, 2, seed=1)] + shipped:
         validate_scenario(doc)
         scenario_from_dict(doc)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # the benchmark's plug delta
+    workloads = importlib.import_module("workloads")
+    _check_schema(workloads.third_truck_delta(seed=1, k=0), PLUG_SCHEMA)
+
+
+@pytest.mark.parametrize("where", ["scenario", "subsystem"])
+@pytest.mark.parametrize("key", ["q", "horizn"])
+def test_controller_settings_reject_unknown_keys(tmp_path, capsys, where, key):
+    doc = truck_scenario(T=5)
+    settings = doc["controller"] if where == "scenario" else doc["subsystems"][1].setdefault(
+        "controller", {})
+    settings[key] = 9
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["design", str(spath), "-o", str(tmp_path / "b.json")]) == EXIT_USAGE
+    path = "$.controller" if where == "scenario" else "$.subsystems[1].controller"
+    err = capsys.readouterr().err
+    assert f"schema violation at {path}: Additional properties" in err and repr(key) in err
 
 
 # ------------------------------------------------------------------- commands
@@ -216,6 +242,41 @@ def test_check_structural_only_with_zero_samples(truck_paths, tmp_path):
     assert "rci_certificate" not in names  # sampled suites skipped
     exact = [c for c in doc["subsystems"]["1"] if c["name"] == "vertex_invariance"][0]
     assert exact["passed"] and exact["max_gauge"] < 1.0
+
+
+def _malformed(doc: dict, case: str) -> dict:
+    if case == "empty":
+        return {}
+    if case == "no-controllers":
+        del doc["controllers"]
+    elif case == "no-alpha":
+        del doc["controllers"]["1"]["alpha"]
+    elif case == "no-blocks":
+        doc["controllers"]["1"]["z_blocks"] = []
+    elif case == "unknown-id":
+        doc["controllers"]["9"] = doc["controllers"]["2"]
+    elif case == "scenario-field":
+        del doc["scenario"]["subsystems"][0]["B"]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("case, path", [
+    ("empty", "$: 'scenario' is a required property"),
+    ("no-controllers", "$: 'controllers' is a required property"),
+    ("no-alpha", "$.controllers['1']: 'alpha' is a required property"),
+    ("no-blocks", "malformed design at $.controllers.1"),
+    ("unknown-id", "unknown subsystem at $.controllers.9"),
+    ("scenario-field", "$.scenario.subsystems[0]: 'B' is a required property"),
+])
+def test_malformed_bundle_names_json_path(truck_paths, tmp_path, capsys, command, case, path):
+    scenario_path, bundle_path = truck_paths
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed(json.loads(bundle_path.read_text()), case)))
+    argv = ["check", str(bad)] if command == "check" else ["simulate", str(scenario_path), str(bad)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
 
 
 def test_check_detects_corrupted_alpha(truck_paths, tmp_path):

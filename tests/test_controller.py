@@ -9,8 +9,6 @@ from tubenet.controller import (
     MpcConfig,
     TerminalData,
     design_controller,
-    kappa_bar,
-    kappa_bar_dis,
     kappa_bar_dis_full,
     kappa_bar_full,
     solve_mpc,
@@ -141,7 +139,7 @@ def test_mpc_l1_cost_mode(truck_network):
     assert sol0.objective == 0.0
 
 
-# -------------------------------------------------------------------- kappa_bar
+# --------------------------------------------------------------- kappa_bar_full
 
 def test_kappa_zero_error_exact_zero():
     d = scalar_design()
@@ -153,7 +151,7 @@ def test_kappa_zero_error_exact_zero():
 
 def test_kappa_scalar_hand_value():
     d = scalar_design()
-    u = kappa_bar(d, np.array([0.1]))
+    u = kappa_bar_full(d, np.array([0.1]))[0]
     assert u[0] == pytest.approx(-0.05, abs=1e-9)
     _, mu, _ = kappa_bar_full(d, np.array([0.1]))
     assert mu == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -170,14 +168,14 @@ def test_kappa_homogeneity_pairs(truck_controllers):
 
 
 def test_kappa_homogeneity_report(truck_controllers):
-    rep = homogeneity_report(truck_controllers["2"].rci, n_samples=50, seed=5)
+    rep = homogeneity_report(truck_controllers["2"], n_samples=50, seed=5)
     assert rep["passed"], rep
 
 
 def test_kappa_feasible_anywhere(truck_controllers):
     # the seed block is full-dimensional, so any error state is representable
     d = truck_controllers["1"].rci
-    u = kappa_bar(d, np.array([100.0, -50.0]))
+    u = kappa_bar_full(d, np.array([100.0, -50.0]))[0]
     assert np.all(np.isfinite(u))
 
 
@@ -203,13 +201,13 @@ def test_kappa_shrinks_tube_under_small_disturbance(truck_controllers, truck_net
             assert member_aggregate(Z, succ + 0.5 * v, tol=1e-7).feasible
 
 
-# ---------------------------------------------------------------- kappa_bar_dis
+# ----------------------------------------------------------- kappa_bar_dis_full
 
 def test_kappa_dis_all_zero(truck_network, truck_controllers):
     net = truck_network
     ctrl = truck_controllers["1"]
-    u_z = kappa_bar_dis(ctrl.rci, np.zeros(2), np.zeros(1),
-                        {"2": np.zeros(2)}, net.predecessors("1"), ctrl.sub.U)
+    u_z = kappa_bar_dis_full(ctrl.rci, np.zeros(2), np.zeros(1),
+                             {"2": np.zeros(2)}, net.predecessors("1"), ctrl.sub.U)[0]
     assert np.allclose(u_z, 0.0, atol=1e-9)
 
 
@@ -232,8 +230,8 @@ def test_kappa_dis_feasible_at_disturbance_vertices(truck_network, truck_control
     rng = np.random.default_rng(2)
     for v in verts:
         z = ctrl.rci.z_set().sample(rng)
-        u_z = kappa_bar_dis(ctrl.rci, z, np.zeros(1), {"1": v},
-                            net.predecessors("2"), ctrl.sub.U)
+        u_z = kappa_bar_dis_full(ctrl.rci, z, np.zeros(1), {"1": v},
+                                 net.predecessors("2"), ctrl.sub.U)[0]
         assert np.all(np.isfinite(u_z))
 
 

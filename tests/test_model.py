@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubenet.geometry import HPolytope, support_value
+from tubenet.geometry import HPolytope
 from tubenet.model import (
     Coupling,
     ModelError,
@@ -144,8 +144,8 @@ def test_disturbance_scaling_block():
     s2 = Subsystem("2", [[1, 0.1], [0, 1]], [[0], [1]], X.copy(), U.copy())
     net = Network([s1, s2], [Coupling("2", "1", 0.1 * np.eye(2))])
     W = disturbance_set(net, "1")
-    assert support_value(W, [1.0, 0.0]) == pytest.approx(0.1)
-    assert support_value(W, [0.0, -1.0]) == pytest.approx(0.1)
+    assert W.support([1.0, 0.0]) == pytest.approx(0.1)
+    assert W.support([0.0, -1.0]) == pytest.approx(0.1)
 
 
 def test_disturbance_truck_support_matches_vertex_arithmetic():
@@ -154,7 +154,7 @@ def test_disturbance_truck_support_matches_vertex_arithmetic():
     A21 = net.predecessors("2")["1"]
     verts = net.subsystems["1"].state_vertices().vertices
     expect = float(np.max((verts @ A21.T)[:, 0]))
-    assert support_value(W2, [1.0, 0.0]) == pytest.approx(expect, abs=1e-12)
+    assert W2.support([1.0, 0.0]) == pytest.approx(expect, abs=1e-12)
 
 
 # ------------------------------------------------------------------- builders

@@ -63,8 +63,7 @@ def test_plug_weakly_coupled_truck(truck_network, truck_controllers):
     assert tx.controllers["2"] is not truck_controllers["2"]
     # post-commit soundness of the redesigned controllers
     for i in ("3", "2"):
-        rep = rci_certificate(tx.network.subsystems[i], tx.controllers[i].rci,
-                              n_samples=200, seed=3)
+        rep = rci_certificate(tx.controllers[i], n_samples=200, seed=3)
         assert rep["passed"], rep
 
 
@@ -152,8 +151,8 @@ def test_unplug_keeps_remaining_controller_valid(truck_network, truck_controller
     # its disturbance set only shrank (here: to nothing)
     net2 = tx.network
     assert net2.predecessors("2") == {}
-    rep = rci_certificate(net2.subsystems["2"], tx.controllers["2"].rci,
-                          n_samples=300, seed=5)
+    assert tx.controllers["2"].sub.A.tolist() == net2.subsystems["2"].A.tolist()
+    rep = rci_certificate(tx.controllers["2"], n_samples=300, seed=5)
     assert rep["passed"], rep
 
 

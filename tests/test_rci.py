@@ -9,10 +9,8 @@ from tubenet.rci import (
     DesignFailure,
     RciConfig,
     ThetaProblem,
-    assemble_theta,
     build_z0,
     default_omega,
-    synthesize_rci,
     synthesize_rci_from_w,
 )
 from tubenet.verify import rci_certificate, structural_report
@@ -70,7 +68,7 @@ def test_default_omega_rejects_big_disturbance():
         default_omega(W, HPolytope.symmetric_box([1.0, 1.0]))
 
 
-# -------------------------------------------------------------- assemble_theta
+# ---------------------------------------------------------------- ThetaProblem
 
 def test_theta_variable_count():
     sub = scalar_subsystem()
@@ -93,7 +91,7 @@ def test_theta_variable_count():
 def test_theta_scalar_feasible_with_small_alpha():
     sub = scalar_subsystem()
     z0 = VPolytope([[0.0], [0.15], [-0.15]])
-    lp = assemble_theta(sub, z0, RciConfig(k=1, minimize_alpha=True))
+    lp = ThetaProblem(sub, z0, 1).build_lp(minimize_alpha=True)
     rep = solve_lp(lp)
     assert rep.optimal
     assert rep.x[-1] <= 0.1 + 1e-9  # alpha is the last variable
@@ -102,21 +100,22 @@ def test_theta_scalar_feasible_with_small_alpha():
 def test_theta_scalar_infeasible_when_seed_exceeds_state_set():
     sub = scalar_subsystem(xbound=1.0)
     z0 = VPolytope([[0.0], [2.0], [-2.0]])  # seed sticks out of X
-    lp = assemble_theta(sub, z0, RciConfig(k=1))
+    lp = ThetaProblem(sub, z0, 1).build_lp()
     rep = solve_lp(lp)
     assert rep.status == "infeasible"
 
 
 def test_theta_config_validation():
-    sub = scalar_subsystem()
-    z0 = VPolytope([[0.0], [0.15], [-0.15]])
-    with pytest.raises(DesignError):
-        assemble_theta(sub, z0, RciConfig(q=1))
-    with pytest.raises(DesignError):
-        assemble_theta(sub, z0, RciConfig(q=5))  # seed block has 3 vertices
+    # the double integrator needs two steps to reach every state
+    sub = Subsystem("d", [[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]],
+                    HPolytope.symmetric_box([1.0, 1.0]), HPolytope.symmetric_box([1.0]))
+    with pytest.raises(DesignError, match="controllability index 2"):
+        RciConfig(k=1).validate(sub)
+    failure = synthesize_rci_from_w(sub, origin_w(2), RciConfig(k=1))
+    assert isinstance(failure, DesignFailure) and "controllability index" in failure.reason
 
 
-# -------------------------------------------------------------- synthesize_rci
+# ------------------------------------------------------- synthesize_rci_from_w
 
 def test_synthesize_isolated_subsystem():
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
@@ -129,11 +128,9 @@ def test_synthesize_isolated_subsystem():
     assert member_aggregate(d.z_set(), np.zeros(2)).feasible
 
 
-def test_synthesize_truck_invariance_sampled(truck_network, truck_controllers):
-    net = truck_network
+def test_synthesize_truck_invariance_sampled(truck_controllers):
     for i in ("1", "2"):
-        report = rci_certificate(net.subsystems[i], truck_controllers[i].rci,
-                                 n_samples=300, seed=7, tol=1e-6)
+        report = rci_certificate(truck_controllers[i], n_samples=300, seed=7, tol=1e-6)
         assert report["passed"], report
 
 
@@ -145,7 +142,7 @@ def test_synthesize_failure_when_disturbance_covers_state_set():
     s1 = Subsystem("1", A, B, X, U)
     s2 = Subsystem("2", A, B, X.copy(), U.copy())
     net = Network([s1, s2], [Coupling("2", "1", 2.0 * np.eye(2))])  # W = 2-box covers X
-    d = synthesize_rci(net.subsystems["1"], net)
+    d = synthesize_rci_from_w(net.subsystems["1"], disturbance_set(net, "1"))
     assert isinstance(d, DesignFailure)
     assert "state constraints" in d.reason
 

@@ -2,7 +2,9 @@
 
 Property tests draw points from the tube section, from its boundary facets
 and at its vertices, scaled by rho in [0, 3], on the truck, power-4,
-mass 4x4 and a one-dimensional design.
+mass 4x4 and a one-dimensional design. The sampled oracles of `tubenet
+check` also run on truck designs compiled without a section, where the
+LPs serve.
 """
 
 from dataclasses import replace
@@ -12,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubenet import controller as controller_mod
 from tubenet import section as section_mod
 from tubenet.cli import design_scenario, scenario_from_dict
 from tubenet.controller import (
+    InfeasibleStep,
     MpcConfig,
     design_controller,
-    kappa_bar,
-    kappa_bar_dis,
     kappa_bar_dis_full,
     kappa_bar_full,
     step_control,
@@ -27,15 +29,21 @@ from tubenet.geometry import HPolytope, VAggregate, VPolytope, member_aggregate
 from tubenet.model import Subsystem
 from tubenet.rci import DesignFailure, RciConfig
 from tubenet.scenarios import mass_scenario
-from tubenet.section import _min_max_lines
-from tubenet.verify import vertex_invariance_report
+from tubenet.section import TubeSection, _min_max_lines
+from tubenet.verify import homogeneity_report, rci_certificate, vertex_invariance_report
+
+from conftest import design_truck_controllers
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 DESIGNS = ("trucks", "power", "mass", "scalar")
 
 
 @pytest.fixture(scope="module")
-def designs(truck_controllers, power_four_areas):
+def designs(truck_network, truck_controllers, power_four_areas):
+    with pytest.MonkeyPatch.context() as patch:  # fresh designs, compiled without a section
+        patch.setattr(section_mod, "MAX_POINTS", 0)
+        fallback = list(design_truck_controllers(truck_network).values())
+        assert all(ctrl.compiled.section is None for ctrl in fallback)
     scenario = scenario_from_dict(mass_scenario(4, 4, seed=1))
     mass, _, failures = design_scenario(scenario)
     assert not failures
@@ -49,6 +57,7 @@ def designs(truck_controllers, power_four_areas):
         "power": list(power_four_areas[1].values())[:2],
         "mass": [mass[i] for i in scenario.network.ids[:2]],
         "scalar": [one_d],
+        "fallback": fallback,
     }
 
 
@@ -189,7 +198,7 @@ def test_capped_section_falls_back_to_the_lps(monkeypatch, truck_network, truck_
         assert vertex_invariance_report(ctrl)["skipped"]
         for x in [ctrl.rci.z_set().sample(rng) for _ in range(5)] + [np.array([3.0, 0.0])]:
             u, diag = step_control(ctrl, x)
-            assert np.array_equal(u, diag.v0 + kappa_bar(ctrl.rci, x - diag.xhat0))
+            assert np.array_equal(u, diag.v0 + kappa_bar_full(ctrl.rci, x - diag.xhat0)[0])
             if diag.objective == 0.0:  # the shortcut: membership LP coefficients
                 cert = member_aggregate(ctrl.rci.z_set(), x - diag.xhat0)
                 assert all(np.array_equal(a, b) for a, b in zip(diag.mpc.beta, cert.beta))
@@ -198,8 +207,16 @@ def test_capped_section_falls_back_to_the_lps(monkeypatch, truck_network, truck_
     preds = truck_network.predecessors("1")
     u, diag = step_control(ctrl, states["1"], predecessor_states=states, couplings=preds)
     assert diag.kappa_mode == "distributed"
-    assert np.array_equal(u, diag.v0 + kappa_bar_dis(ctrl.rci, states["1"] - diag.xhat0, diag.v0,
-                                                     states, preds, ctrl.sub.U))
+    assert np.array_equal(u, diag.v0 + kappa_bar_dis_full(ctrl.rci, states["1"] - diag.xhat0,
+                                                          diag.v0, states, preds, ctrl.sub.U)[0])
+
+    def failing(*args):
+        raise RuntimeError("LP failed")
+
+    monkeypatch.setattr(controller_mod, "kappa_bar_full", failing)  # looked up at call time
+    with pytest.raises(InfeasibleStep) as err:
+        step_control(fresh(truck_controllers["1"]), np.array([3.0, 0.0]))
+    assert err.value.status == "numerical-failure"
 
 
 def test_section_is_built_on_first_use_only(truck_controllers):
@@ -210,8 +227,33 @@ def test_section_is_built_on_first_use_only(truck_controllers):
 
 # -------------------------------------------------------- exact invariance
 
-@pytest.mark.parametrize("name", DESIGNS)
-def test_vertex_invariance_holds(designs, name):
+@pytest.mark.parametrize("name", DESIGNS + ("fallback",))
+def test_vertex_invariance_holds(designs, name, monkeypatch):
+    """The exact vertex check, and the sampled oracles of `tubenet check` on
+    the law each controller serves: the section's, or the LP when the
+    section is unavailable (the vertex check is then skipped)."""
+    lp_calls = []
+    lp_law = controller_mod.kappa_bar_full
+    monkeypatch.setattr(controller_mod, "kappa_bar_full",
+                        lambda *args: lp_calls.append(args) or lp_law(*args))
     for ctrl in designs[name]:
         rep = vertex_invariance_report(ctrl)
-        assert rep["passed"] and rep["max_gauge"] < 1.0, rep
+        if name == "fallback":
+            assert rep["skipped"]
+        else:
+            assert rep["passed"] and rep["max_gauge"] < 1.0, rep
+        assert rci_certificate(ctrl, n_samples=30, seed=2)["passed"]
+        assert homogeneity_report(ctrl, n_samples=10, seed=2)["passed"]
+    assert bool(lp_calls) == (name == "fallback")
+
+
+def test_sampled_certificate_checks_the_served_law(monkeypatch, truck_controllers):
+    law = TubeSection.law
+
+    def tripled(self, z):
+        u, mu, beta = law(self, z)
+        return 3.0 * u, mu, beta
+
+    monkeypatch.setattr(TubeSection, "law", tripled)
+    rep = rci_certificate(truck_controllers["1"], n_samples=50)
+    assert rep["failures"] or rep["input_violations"], rep
