@@ -31,7 +31,7 @@ from .model import (
 from .optim import LinearProgram, QuadraticProgram, SolveReport, ToleranceConfig, solve_lp, solve_qp
 from .pnp import PnpTransaction, plug_in, unplug
 from .rci import DesignFailure, RciConfig, RciDesign, synthesize_rci_from_w
-from .sim import LoadStep, Metrics, SimConfig, SimTrace, compute_metrics, naive_mpc_controller, run
+from .sim import LoadStep, Metrics, SimConfig, SimTrace, compute_metrics, run
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "solve_lp", "solve_qp",
     "PnpTransaction", "plug_in", "unplug",
     "DesignFailure", "RciConfig", "RciDesign", "synthesize_rci_from_w",
-    "LoadStep", "Metrics", "SimConfig", "SimTrace", "compute_metrics",
-    "naive_mpc_controller", "run",
+    "LoadStep", "Metrics", "SimConfig", "SimTrace", "compute_metrics", "run",
     "__version__",
 ]

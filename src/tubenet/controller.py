@@ -7,7 +7,9 @@ from the nominal optimization and kappa keeps the true state inside the
 invariant tube section around the nominal trajectory. Online, the tube
 membership test and kappa are read off the explicit tube section
 (`section.py`); the LPs below define them and serve when the section is
-unavailable.
+unavailable. The nominal problem is one parametric QP (an LP with the
+1-norm cost) per controller: its matrices are assembled once, and each solve
+writes only the measured state and the setpoint into its right-hand sides.
 """
 
 from __future__ import annotations
@@ -147,25 +149,56 @@ class TubeController:
     @functools.cached_property
     def compiled(self) -> "CompiledController":
         """Online solver state, built on first use (never during design)."""
-        return CompiledController(self.rci)
+        return CompiledController(self)
 
 
 class CompiledController:
     """What the online path derives once per controller: the invariance law
-    it serves, and the nominal problem's constraint blocks, per setpoint,
-    and Hessian.
+    it serves and the nominal tracking problem.
 
     The law is read off the explicit tube section, or, when the section is
     unavailable, solved with the LPs that define it; the choice is made
     here, once. The LPs are looked up in this module at call time, so a
     wrapper installed on the module (the benchmark's tracer) sees each call.
+
+    The nominal problem is assembled here, once, in shifted (deviation)
+    coordinates, where none of its matrices depends on the state or the
+    setpoint; each solve fills a fresh copy of the right-hand sides. Variable
+    order: states (N+1)*n, inputs N*m, beta k*q, then, with the l1 cost, the
+    epigraph variables N*(n+m).
     """
 
-    def __init__(self, rci: RciDesign):
-        self.rci = rci
-        self.section: TubeSection | None = build_section(rci)
-        self.constraints: dict = {}
-        self.hessian: np.ndarray | None = None
+    def __init__(self, ctrl: TubeController):
+        self.rci = ctrl.rci
+        self.section: TubeSection | None = build_section(ctrl.rci)
+        self.Xhat, self.V = ctrl.Xhat, ctrl.V
+        self.n, self.m, self.N = ctrl.sub.n, ctrl.sub.m, ctrl.cfg.N
+        self.program = _nominal_program(ctrl)
+
+    def solve_nominal(self, dev: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray) -> MpcSolution:
+        """Solve the nominal problem for the state deviation dev = x - x_ref
+        about the setpoint (x_ref, u_ref); the shared program is not changed."""
+        n, m, N, k, q = self.n, self.m, self.N, self.rci.k, self.rci.q
+        p = self.program
+        b_eq = p.b_eq.copy()
+        b_eq[N * n:(N + 1) * n] = dev  # the tube-link rows
+        b_ub = p.b_ub.copy()
+        stages = b_ub[:N * (self.Xhat.n_rows + self.V.n_rows)].reshape(N, -1)
+        stages[:, :self.Xhat.n_rows] = self.Xhat.d - self.Xhat.C @ x_ref
+        stages[:, self.Xhat.n_rows:] = self.V.d - self.V.C @ u_ref
+        step = p.with_rhs(b_ub=b_ub, b_eq=b_eq)
+        rep = solve_qp(step) if isinstance(p, QuadraticProgram) else solve_lp(step)
+        if not rep.optimal:
+            return MpcSolution(rep.status)
+        n_state, n_input = (N + 1) * n, N * m
+        xhat_seq = rep.x[:n_state].reshape(N + 1, n) + x_ref
+        v_seq = rep.x[n_state:n_state + n_input].reshape(N, m) + u_ref
+        beta_flat = rep.x[n_state + n_input:n_state + n_input + k * q]
+        # with P carrying the factor 2, the QP objective equals the tracking cost
+        return MpcSolution("optimal", v0=v_seq[0].copy(), xhat0=xhat_seq[0].copy(),
+                           v_seq=v_seq, xhat_seq=xhat_seq,
+                           beta=[beta_flat[s * q:(s + 1) * q] for s in range(k)],
+                           objective=float(rep.objective))
 
     def tube_beta(self, dev: np.ndarray) -> list[np.ndarray] | None:
         """Unit-sum coefficients per block representing dev in the tube
@@ -286,40 +319,19 @@ def solve_mpc(ctrl: TubeController, x, x_ref=None, u_ref=None, load_term=None) -
             return MpcSolution("optimal", v0=u_ref.copy(), xhat0=x_ref.copy(),
                                v_seq=v_seq, xhat_seq=xhat_seq, beta=beta, objective=0.0)
 
-    if ctrl.cfg.cost == "quadratic":
-        return _solve_mpc_qp(ctrl, dev, x_ref, u_ref)
-    return _solve_mpc_l1(ctrl, dev, x_ref, u_ref)
+    return ctrl.compiled.solve_nominal(dev, x_ref, u_ref)
 
 
-def _mpc_layout(ctrl: TubeController):
-    sub = ctrl.sub
-    n, m, N = sub.n, sub.m, ctrl.cfg.N
-    k, q = ctrl.rci.k, ctrl.rci.q
-    n_state = (N + 1) * n
-    n_input = N * m
-    n_beta = k * q
-    return n, m, N, k, q, n_state, n_input, n_beta
-
-
-def _mpc_constraints(ctrl: TubeController, dev: np.ndarray, x_ref, u_ref, n_extra: int = 0):
-    """Shared constraint blocks in shifted (deviation) coordinates, cached per
-    setpoint; only the tube-link rhs depends on the measured state.
-
-    Variable order: states (N+1)*n, inputs N*m, beta k*q, then n_extra
-    caller-specific columns (the l1 epigraph variables).
-    """
-    cache = ctrl.compiled.constraints
-    key = (n_extra, x_ref.tobytes(), u_ref.tobytes())
-    if key in cache:
-        A_eq, b_eq_base, A_ub, b_ub, lb, NV, link_at = cache[key]
-        b_eq = b_eq_base.copy()
-        b_eq[link_at:link_at + dev.shape[0]] = dev
-        return A_eq, b_eq, A_ub, b_ub, lb, NV
-    sub = ctrl.sub
-    rci = ctrl.rci
-    term = ctrl.cfg.terminal
-    n, m, N, k, q, n_state, n_input, n_beta = _mpc_layout(ctrl)
-    NV = n_state + n_input + n_beta + n_extra
+def _nominal_program(ctrl: TubeController) -> QuadraticProgram | LinearProgram:
+    """The nominal problem of a controller in shifted coordinates. Its
+    right-hand sides are those of the origin setpoint with x = x_ref;
+    `CompiledController.solve_nominal` writes the actual ones into a copy."""
+    sub, rci, cfg, term = ctrl.sub, ctrl.rci, ctrl.cfg, ctrl.cfg.terminal
+    n, m, N, k, q = sub.n, sub.m, cfg.N, rci.k, rci.q
+    n_state, n_input = (N + 1) * n, N * m
+    base_t = n_state + n_input + k * q  # first epigraph column
+    NV = base_t + (N * (n + m) if cfg.cost == "l1" else 0)
+    bs = slice(n_state + n_input, base_t)
 
     def xs(j):
         return slice(j * n, (j + 1) * n)
@@ -327,125 +339,63 @@ def _mpc_constraints(ctrl: TubeController, dev: np.ndarray, x_ref, u_ref, n_extr
     def us(j):
         return slice(n_state + j * m, n_state + (j + 1) * m)
 
-    bs = slice(n_state + n_input, n_state + n_input + n_beta)
-
-    eq_rows, eq_rhs = [], []
-    # nominal dynamics
+    # equalities: nominal dynamics, tube link, unit simplex per block, and
+    # the zero-terminal pin
+    A_eq = np.zeros(((N + 1) * n + k + (n if term.mode == "zero" else 0), NV))
+    b_eq = np.zeros(A_eq.shape[0])
     for j in range(N):
-        row = np.zeros((n, NV))
-        row[:, xs(j + 1)] = np.eye(n)
-        row[:, xs(j)] = -sub.A
-        row[:, us(j)] = -sub.B
-        eq_rows.append(row)
-        eq_rhs.append(np.zeros(n))
+        A_eq[xs(j), xs(j + 1)] = np.eye(n)
+        A_eq[xs(j), xs(j)] = -sub.A
+        A_eq[xs(j), us(j)] = -sub.B
     # tube link: x - xhat(0) is the scaled beta-combination of block vertices
-    link = np.zeros((n, NV))
-    link[:, xs(0)] = np.eye(n)
-    link[:, bs] = rci.sigma * np.hstack([blk.T for blk in rci.z_blocks])
-    eq_rows.append(link)
-    eq_rhs.append(dev)
-    # unit simplex per block
+    A_eq[xs(N), xs(0)] = np.eye(n)
+    A_eq[xs(N), bs] = rci.sigma * np.hstack([blk.T for blk in rci.z_blocks])
     for s in range(k):
-        row = np.zeros((1, NV))
-        row[0, n_state + n_input + s * q: n_state + n_input + (s + 1) * q] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(np.ones(1))
+        A_eq[n_state + s, bs.start + s * q:bs.start + (s + 1) * q] = 1.0
+    b_eq[n_state:n_state + k] = 1.0
     if term.mode == "zero":
-        row = np.zeros((n, NV))
-        row[:, xs(N)] = np.eye(n)
-        eq_rows.append(row)
-        eq_rhs.append(np.zeros(n))
+        A_eq[n_state + k:, xs(N)] = np.eye(n)
 
-    ub_rows, ub_rhs = [], []
+    # inequalities: tightened sets per stage, the custom terminal set, then
+    # the l1 epigraph rows
+    Xhat, V = ctrl.Xhat, ctrl.V
+    stage = Xhat.n_rows + V.n_rows
+    G = np.zeros((N * stage, NV))
     for j in range(N):
-        row = np.zeros((ctrl.Xhat.n_rows, NV))
-        row[:, xs(j)] = ctrl.Xhat.C
-        ub_rows.append(row)
-        ub_rhs.append(ctrl.Xhat.d - ctrl.Xhat.C @ x_ref)
-        row = np.zeros((ctrl.V.n_rows, NV))
-        row[:, us(j)] = ctrl.V.C
-        ub_rows.append(row)
-        ub_rhs.append(ctrl.V.d - ctrl.V.C @ u_ref)
+        G[j * stage:j * stage + Xhat.n_rows, xs(j)] = Xhat.C
+        G[j * stage + Xhat.n_rows:(j + 1) * stage, us(j)] = V.C
+    ub_rows, ub_rhs = [G], [np.tile(np.concatenate([Xhat.d, V.d]), N)]
     if term.mode == "custom":
         row = np.zeros((term.Xf.n_rows, NV))
         row[:, xs(N)] = term.Xf.C
         ub_rows.append(row)
         ub_rhs.append(term.Xf.d)
-
+    if cfg.cost == "l1":  # |Q xdev|_1 + |R vdev|_1 per stage
+        for j in range(N):
+            t_off = base_t + j * (n + m)
+            for Wmat, cols, t in ((cfg.Q, xs(j), slice(t_off, t_off + n)),
+                                  (cfg.R, us(j), slice(t_off + n, t_off + n + m))):
+                for sign in (1.0, -1.0):
+                    row = np.zeros((Wmat.shape[0], NV))
+                    row[:, cols] = sign * Wmat
+                    row[:, t] = -np.eye(Wmat.shape[0])
+                    ub_rows.append(row)
+                    ub_rhs.append(np.zeros(Wmat.shape[0]))
     lb = np.full(NV, -np.inf)
     lb[bs] = 0.0
-    A_eq = np.vstack(eq_rows)
-    b_eq = np.concatenate(eq_rhs)
-    A_ub = np.vstack(ub_rows)
-    b_ub = np.concatenate(ub_rhs)
-    link_at = N * n  # rhs offset of the tube-link rows
-    cache[key] = (A_eq, b_eq.copy(), A_ub, b_ub, lb, NV, link_at)
-    return A_eq, b_eq, A_ub, b_ub, lb, NV
-
-
-def _extract_mpc(ctrl: TubeController, xvec: np.ndarray, x_ref, u_ref, objective):
-    n, m, N, k, q, n_state, n_input, n_beta = _mpc_layout(ctrl)
-    xhat_seq = xvec[:n_state].reshape(N + 1, n) + x_ref
-    v_seq = xvec[n_state:n_state + n_input].reshape(N, m) + u_ref
-    beta_flat = xvec[n_state + n_input:n_state + n_input + n_beta]
-    beta = [beta_flat[s * q:(s + 1) * q] for s in range(k)]
-    return MpcSolution("optimal", v0=v_seq[0].copy(), xhat0=xhat_seq[0].copy(),
-                       v_seq=v_seq, xhat_seq=xhat_seq, beta=beta,
-                       objective=float(objective))
-
-
-def _solve_mpc_qp(ctrl: TubeController, dev, x_ref, u_ref) -> MpcSolution:
-    cfg = ctrl.cfg
-    n, m, N, k, q, n_state, n_input, n_beta = _mpc_layout(ctrl)
-    A_eq, b_eq, A_ub, b_ub, lb, NV = _mpc_constraints(ctrl, dev, x_ref, u_ref)
-    compiled = ctrl.compiled
-    P = compiled.hessian
-    if P is None:
-        P = np.zeros((NV, NV))
-        for j in range(N):
-            P[j * n:(j + 1) * n, j * n:(j + 1) * n] = 2.0 * cfg.Q
-            P[n_state + j * m:n_state + (j + 1) * m,
-              n_state + j * m:n_state + (j + 1) * m] = 2.0 * cfg.R
-        if cfg.terminal.mode == "custom":
-            P[N * n:(N + 1) * n, N * n:(N + 1) * n] = 2.0 * cfg.terminal.S
-        compiled.hessian = P
-    rep = solve_qp(QuadraticProgram(P, np.zeros(NV), A_ub=A_ub, b_ub=b_ub,
-                                    A_eq=A_eq, b_eq=b_eq, lb=lb))
-    if rep.status == "infeasible":
-        return MpcSolution("infeasible")
-    if not rep.optimal:
-        return MpcSolution(rep.status)
-    # with P carrying the factor 2, the solver objective equals the tracking cost
-    return _extract_mpc(ctrl, rep.x, x_ref, u_ref, rep.objective)
-
-
-def _solve_mpc_l1(ctrl: TubeController, dev, x_ref, u_ref) -> MpcSolution:
-    """1-norm stage cost |Q xdev|_1 + |R vdev|_1 via epigraph variables."""
-    cfg = ctrl.cfg
-    n, m, N, k, q, n_state, n_input, n_beta = _mpc_layout(ctrl)
-    n_extra = N * (n + m)
-    A_eq, b_eq, A_ub, b_ub, lb, NV = _mpc_constraints(ctrl, dev, x_ref, u_ref, n_extra)
-    base_t = n_state + n_input + n_beta
-    rows, rhs = [A_ub], [b_ub]
+    blocks = dict(A_ub=np.vstack(ub_rows), b_ub=np.concatenate(ub_rhs),
+                  A_eq=A_eq, b_eq=b_eq, lb=lb)
+    if cfg.cost == "l1":
+        c = np.zeros(NV)
+        c[base_t:] = 1.0
+        return LinearProgram(c, **blocks)
+    P = np.zeros((NV, NV))
     for j in range(N):
-        for (Wmat, var_base, width, t_off) in (
-                (cfg.Q, j * n, n, base_t + j * (n + m)),
-                (cfg.R, n_state + j * m, m, base_t + j * (n + m) + n)):
-            for sign in (1.0, -1.0):
-                row = np.zeros((width, NV))
-                row[:, var_base:var_base + width] = sign * Wmat
-                row[:, t_off:t_off + width] = -np.eye(width)
-                rows.append(row)
-                rhs.append(np.zeros(width))
-    c = np.zeros(NV)
-    c[base_t:] = 1.0
-    rep = solve_lp(LinearProgram(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                                 A_eq=A_eq, b_eq=b_eq, lb=lb))
-    if rep.status == "infeasible":
-        return MpcSolution("infeasible")
-    if not rep.optimal:
-        return MpcSolution(rep.status)
-    return _extract_mpc(ctrl, rep.x, x_ref, u_ref, rep.objective)
+        P[xs(j), xs(j)] = 2.0 * cfg.Q
+        P[us(j), us(j)] = 2.0 * cfg.R
+    if term.mode == "custom":
+        P[xs(N), xs(N)] = 2.0 * term.S
+    return QuadraticProgram(P, np.zeros(NV), **blocks)
 
 
 def kappa_bar_full(rci: RciDesign, z) -> tuple[np.ndarray, float, np.ndarray]:

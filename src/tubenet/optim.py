@@ -7,6 +7,7 @@ Both entry points are pure functions: identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import glob
 import logging
@@ -150,6 +151,17 @@ class _Constrained:
             raise ValueError("constraint matrix and rhs must be given together")
         self.lb = _as_vector(self.lb, n, "lb", finite=False)
         self.ub = _as_vector(self.ub, n, "ub", finite=False)
+
+    def with_rhs(self, b_ub=None, b_eq=None):
+        """A copy with new right-hand sides, checked like the originals. The
+        matrices, bounds and objective are shared, not copied or re-checked:
+        a program validated once can be solved for many right-hand sides."""
+        p = copy.copy(self)
+        if b_ub is not None:
+            p.b_ub = _as_vector(b_ub, self.A_ub.shape[0], "b_ub")
+        if b_eq is not None:
+            p.b_eq = _as_vector(b_eq, self.A_eq.shape[0], "b_eq")
+        return p
 
     @property
     def n_rows(self) -> int:

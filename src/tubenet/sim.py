@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import InfeasibleStep, TubeController, step_control
+from .controller import InfeasibleStep, MpcConfig, TubeController, step_control
 from .model import Network, Subsystem
 from .optim import QuadraticProgram, solve_qp
 
@@ -27,7 +27,6 @@ __all__ = [
     "Metrics",
     "run",
     "NaiveMpc",
-    "naive_mpc_controller",
     "build_naive_counterexample_network",
     "eta_index",
     "phi_index",
@@ -224,7 +223,7 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
                            "record_failure": cfg.record_failure})
     for ctrl in controllers.values():
         if isinstance(ctrl, TubeController):
-            ctrl.compiled  # build the explicit tube section outside the timed steps
+            ctrl.compiled  # build the tube section and nominal program outside the timed steps
     for t in range(cfg.T):
         snapshot = {i: states[i].copy() for i in ids}
         controls = {}
@@ -288,11 +287,9 @@ class NaiveMpc:
     of feasibility under coupling; not a recommended controller."""
 
     def __init__(self, sub: Subsystem, N: int = 20, Q=None, R=None):
-        self.sub = sub
-        self.N = int(N)
-        self.Q = 10.0 * np.eye(sub.n) if Q is None else np.atleast_2d(np.asarray(Q, dtype=float))
-        self.R = np.eye(sub.m) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
-        self.id = sub.id
+        cfg = MpcConfig(int(N), Q, R).resolved(sub.n, sub.m)  # as for the tube controllers
+        self.sub, self.id = sub, sub.id
+        self.N, self.Q, self.R = cfg.N, cfg.Q, cfg.R
 
     def step(self, x) -> tuple[np.ndarray, dict]:
         """Returns (u(0), info); raises InfeasibleStep when the measured state
@@ -351,10 +348,6 @@ class NaiveMpc:
         u0 = rep.x[us(0)]
         objective = rep.objective + float(x @ self.Q @ x)
         return u0, {"objective": objective, "x_pred": rep.x[:N * n].reshape(N, n)}
-
-
-def naive_mpc_controller(sub: Subsystem, N: int = 20, Q=None, R=None) -> NaiveMpc:
-    return NaiveMpc(sub, N=N, Q=Q, R=R)
 
 
 def build_naive_counterexample_network() -> Network:

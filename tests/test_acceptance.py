@@ -26,10 +26,10 @@ from tubenet.rci import RciConfig
 from tubenet.scenarios import counterexample_scenario, mass_scenario, truck_scenario
 from tubenet.sim import (
     LoadStep,
+    NaiveMpc,
     SimConfig,
     eta_index,
     max_constraint_slack,
-    naive_mpc_controller,
     phi_index,
     run,
     settling_time_95,
@@ -49,8 +49,7 @@ def test_criterion_1_counterexample_reproduction():
     doc = counterexample_scenario()
     scenario = scenario_from_dict(doc)
     net = scenario.network
-    ctrls = {i: naive_mpc_controller(net.subsystems[i], N=20,
-                                     Q=10.0 * np.eye(4), R=np.eye(2))
+    ctrls = {i: NaiveMpc(net.subsystems[i], N=20, Q=10.0 * np.eye(4), R=np.eye(2))
              for i in net.ids}
     tr = run(net, ctrls, scenario.sim_config(record_failure=True))
     u0 = np.asarray(tr.data["1"]["u"][0])

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
+from scipy.signal import place_poles
 from scipy.spatial import ConvexHull
 
+from tubenet import controller as controller_mod
+from tubenet import optim
 from tubenet.controller import (
     InfeasibleStep,
     MissingPredecessorState,
@@ -18,9 +23,10 @@ from tubenet.controller import (
 from tubenet.geometry import HPolytope, VAggregate, VPolytope, box_vertices, member_aggregate
 from tubenet.model import disturbance_set
 from tubenet.rci import DesignError, DesignFailure, RciConfig, RciDesign
+from tubenet.sim import SimConfig, run
 from tubenet.verify import homogeneity_report, tube_containment_report
 
-from conftest import TRUCK_Q, TRUCK_R
+from conftest import TRUCK_Q, TRUCK_R, design_truck_controllers
 
 
 def make_design(z_blocks, u_blocks, alpha=0.0, A=None, B=None):
@@ -351,3 +357,79 @@ def test_terminal_data_requires_fields():
         TerminalData(mode="custom")
     with pytest.raises(ValueError):
         TerminalData(mode="banana")
+
+
+# ---------------------------------------------------- compiled nominal program
+
+def real_pole_terminal(sub, Q, R, poles=(0.5, 0.6, 0.7, 0.8), eps=1e-3):
+    """Custom terminal triple around an auxiliary loop with real poles: the
+    box |T^-1 x|_inf <= eps in the loop's eigenbasis T is invariant, and the
+    loop's Lyapunov weight, raised by 1 %, decreases strictly along it."""
+    K = -place_poles(sub.A, sub.B, poles).gain_matrix
+    Acl = sub.A + sub.B @ K
+    T = np.linalg.eig(Acl)[1].real
+    Ti = np.linalg.inv(T)
+    Xf = HPolytope(np.vstack([Ti, -Ti]), np.full(2 * sub.n, eps))
+    verts = box_vertices(np.full(sub.n, -eps), np.full(sub.n, eps)) @ T.T
+    S = solve_discrete_lyapunov(Acl.T, Q + K.T @ R @ K)
+    return TerminalData(mode="custom", S=1.01 * (S + S.T) / 2, K_aux=K, Xf=Xf,
+                        xf_vertices=VPolytope(verts))
+
+
+@pytest.mark.parametrize("variant", ["quadratic", "l1", "custom"])
+def test_nominal_rhs_does_not_leak_between_solves(power_four_areas, variant):
+    scenario, _ = power_four_areas
+    net = scenario.network
+    sub = net.subsystems["1"]
+    cfg = scenario.controller_config("1").resolved(sub.n, sub.m)
+    if variant == "l1":
+        cfg = replace(cfg, cost="l1")
+    elif variant == "custom":
+        cfg = replace(cfg, terminal=real_pole_terminal(sub, cfg.Q, cfg.R))
+
+    def design():
+        ctrl = design_controller(sub, disturbance_set(net, "1"), scenario.rci_config("1"), cfg)
+        assert not isinstance(ctrl, DesignFailure), ctrl
+        return ctrl
+
+    load = 0.1  # a nonzero load step moves the setpoint to (0, 0, load, load)
+    setpoints = [(np.zeros(4), np.zeros(1), np.zeros(4)),
+                 (np.multiply(sub.setpoint_state_gain, load),
+                  np.multiply(sub.setpoint_input_gain, load), sub.L[:, 0] * load)]
+    states = [np.array([0.02, 0.0, 0.05, 0.05]), np.array([-0.03, 0.01, 0.0, 0.0])]
+    shared = design()
+    program = shared.compiled.program
+    b_ub, b_eq = program.b_ub.copy(), program.b_eq.copy()
+    # each solve changes the setpoint, the state or both against the one before
+    for a, b in ((0, 0), (0, 1), (1, 1), (1, 0), (0, 0), (1, 1)):
+        x_ref, u_ref, load_term = setpoints[b]
+        sol = solve_mpc(shared, states[a], x_ref, u_ref, load_term)
+        ref = solve_mpc(design(), states[a], x_ref, u_ref, load_term)
+        assert sol.feasible and sol.objective > 0  # served by the solver, not the shortcut
+        assert np.array_equal(sol.v_seq, ref.v_seq)
+        assert np.array_equal(sol.xhat_seq, ref.xhat_seq)
+        assert all(np.array_equal(u, v) for u, v in zip(sol.beta, ref.beta))
+        assert sol.objective == ref.objective
+    assert shared.compiled.program is program
+    assert np.array_equal(program.b_ub, b_ub) and np.array_equal(program.b_eq, b_eq)
+
+
+def test_hessian_is_checked_once_per_controller(monkeypatch, truck_network):
+    ctrls = design_truck_controllers(truck_network)
+    calls = {"eigvalsh": 0, "qp": 0}
+    eigvalsh, solve_qp = optim.np.linalg.eigvalsh, controller_mod.solve_qp
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_solve_qp(*args, **kwargs):
+        calls["qp"] += 1
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(optim.np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(controller_mod, "solve_qp", counting_solve_qp)
+    tr = run(truck_network, ctrls, SimConfig(T=150, x0={"1": np.zeros(2), "2": [3.0, 0.0]}))
+    assert tr.steps == 150
+    assert calls["qp"] > 5 * len(ctrls)  # many QPs per controller
+    assert calls["eigvalsh"] == len(ctrls)

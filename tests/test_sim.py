@@ -5,13 +5,13 @@ from tubenet.controller import InfeasibleStep
 from tubenet.model import Network, build_truck_network
 from tubenet.sim import (
     LoadStep,
+    NaiveMpc,
     SimConfig,
     SimTrace,
     build_naive_counterexample_network,
     compute_metrics,
     eta_index,
     max_constraint_slack,
-    naive_mpc_controller,
     phi_index,
     run,
     settling_time_95,
@@ -123,9 +123,14 @@ def test_missing_controller_or_state_rejected(truck_network, truck_controllers):
 
 # ------------------------------------------------------------- naive baseline
 
+def paper_naive_controllers(net):
+    """The baseline with the paper's weights, Q = 10 I and R = I."""
+    return {i: NaiveMpc(net.subsystems[i], Q=10.0 * np.eye(4), R=np.eye(2)) for i in net.ids}
+
+
 def test_naive_counterexample_reproduction():
     net = build_naive_counterexample_network()
-    ctrls = {i: naive_mpc_controller(net.subsystems[i]) for i in net.ids}
+    ctrls = paper_naive_controllers(net)
     cfg = SimConfig(T=5, x0={"1": [1.5, 0.8, 0.0, 0.0], "2": [1.5, 0.0, 0.0, 0.0]},
                     record_failure=True)
     tr = run(net, ctrls, cfg)
@@ -139,7 +144,7 @@ def test_naive_counterexample_reproduction():
 
 def test_naive_raises_without_record_flag():
     net = build_naive_counterexample_network()
-    ctrls = {i: naive_mpc_controller(net.subsystems[i]) for i in net.ids}
+    ctrls = paper_naive_controllers(net)
     cfg = SimConfig(T=5, x0={"1": [1.5, 0.8, 0.0, 0.0], "2": [1.5, 0.0, 0.0, 0.0]})
     with pytest.raises(InfeasibleStep):
         run(net, ctrls, cfg)
@@ -147,7 +152,7 @@ def test_naive_raises_without_record_flag():
 
 def test_naive_zero_state_zero_input():
     net = build_naive_counterexample_network()
-    ctrl = naive_mpc_controller(net.subsystems["1"])
+    ctrl = NaiveMpc(net.subsystems["1"])
     u, info = ctrl.step(np.zeros(4))
     assert np.allclose(u, 0.0, atol=1e-7)
     assert info["objective"] == pytest.approx(0.0, abs=1e-9)
@@ -155,9 +160,20 @@ def test_naive_zero_state_zero_input():
 
 def test_naive_feasible_at_boundary_start():
     net = build_naive_counterexample_network()
-    ctrl = naive_mpc_controller(net.subsystems["1"])
+    ctrl = NaiveMpc(net.subsystems["1"])
     u, _ = ctrl.step(np.array([1.5, 0.8, 0.0, 0.0]))
     assert np.all(np.isfinite(u))
+
+
+def test_naive_weights_default_to_identities():
+    sub = build_naive_counterexample_network().subsystems["1"]
+    default, explicit = NaiveMpc(sub), NaiveMpc(sub, Q=np.eye(4), R=np.eye(2))
+    for x in ([0.0, 0.0, 0.0, 0.0], [1.5, 0.8, 0.0, 0.0], [-0.7, 0.3, 0.2, -0.1]):
+        u, info = default.step(np.array(x))
+        u_ref, info_ref = explicit.step(np.array(x))
+        assert np.array_equal(u, u_ref)
+        assert info["objective"] == info_ref["objective"]
+        assert np.array_equal(info["x_pred"], info_ref["x_pred"])
 
 
 # ----------------------------------------------------------------- metrics
