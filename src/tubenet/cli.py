@@ -181,6 +181,21 @@ def _check_schema(doc, schema: dict, root: str = "$"):
         raise ScenarioError(f"schema violation at {root}{e.json_path[1:]}: {e.message}")
 
 
+def _check_weights(settings: dict, path: str, n: int | None = None, m: int | None = None):
+    """The weights Q and R of one controller block must be symmetric positive
+    definite, the standing assumption of tube MPC, and n x n and m x m where
+    the subsystem is known."""
+    for key, dim in (("Q", n), ("R", m)):
+        if key not in settings:
+            continue
+        W = np.asarray(settings[key], dtype=float)
+        if W.ndim != 2 or W.shape[0] != W.shape[1] or dim not in (None, W.shape[0]):
+            raise ScenarioError(f"ill-shaped matrix at {path}.{key}: {W.shape}, "
+                                f"expected a square matrix of size {dim}")
+        if np.abs(W - W.T).max(initial=0.0) > 1e-10 or not np.linalg.eigvalsh(W).min() > 0.0:
+            raise ScenarioError(f"weight at {path}.{key} is not symmetric positive definite")
+
+
 def validate_scenario(doc: dict, root: str = "$"):
     """Schema check with JSON-path diagnostics, then shape consistency; root
     is the path of doc inside its file."""
@@ -205,6 +220,17 @@ def validate_scenario(doc: dict, root: str = "$"):
             if C.ndim != 2 or C.shape[1] != want or C.shape[0] != d.shape[0]:
                 raise ScenarioError(f"ill-shaped matrix at {path}.{key}: C is {C.shape}, "
                                     f"d has {d.shape[0]} rows, expected width {want}")
+            try:
+                bounded = HPolytope(C, d).is_bounded()
+            except GeometryError as e:
+                raise ScenarioError(f"invalid set at {path}.{key}: {e}") from e
+            if not bounded:
+                raise ScenarioError(f"unbounded set at {path}.{key}: some direction "
+                                    "meets no row of C")
+        own = s.get("controller", {})
+        _check_weights(own, f"{path}.controller", n, B.shape[1])
+        _check_weights({k: v for k, v in doc["controller"].items() if k not in own},
+                       f"{root}.controller", n, B.shape[1])
         dims[str(s["id"])] = (n, B.shape[1])
     for idx, c in enumerate(doc["couplings"]):
         path = f"{root}.couplings[{idx}]"
@@ -540,6 +566,7 @@ def cmd_plug(args) -> int:
         delta = _load_delta(args.delta, PLUG_SCHEMA)
         scenario, controllers, _ = load_bundle(args.bundle)
         sdoc = dict(delta["add_subsystem"])
+        _check_weights(delta.get("controller", {}), "$.controller")
         if "controller" in delta:
             sdoc["controller"] = {**sdoc.get("controller", {}), **delta["controller"]}
         new_scenario = scenario_from_dict(_scenario_doc_with(

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .optim import LinearProgram, solve_lp
 
@@ -80,6 +81,18 @@ class HPolytope:
             r = solve_lp(LinearProgram(np.zeros(self.n), A_ub=self.C, b_ub=self.d))
             self._empty = r.status == "infeasible"
         return self._empty
+
+    def is_bounded(self) -> bool:
+        """Whether the set, when nonempty, is bounded: {Cx <= 0} = {0}, i.e.
+        the rows of C span R^n and have a strictly positive dependence
+        C'lam = 0 with lam >= 1, which one NNLS decides (lam = 1 + y, y >= 0)."""
+        if np.linalg.matrix_rank(self.C) < self.n:
+            return False
+        try:
+            y, rnorm = nnls(self.C.T, -self.C.T @ np.ones(self.n_rows))
+        except RuntimeError as e:
+            raise GeometryError(f"boundedness undecided: {e}") from e
+        return rnorm <= 1e-9 * np.abs(self.C).max() * (self.n_rows + y.sum())
 
     def has_origin_interior(self, margin: float = 1e-9) -> bool:
         return bool(np.all(self.d > margin))

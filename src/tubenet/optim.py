@@ -1,7 +1,11 @@
 """Uniform LP/QP solver contracts used by every other module.
 
-Linear programs go to scipy's HiGHS backend; quadratic programs are solved by
-a self-contained dense primal-dual interior-point method (scipy has no QP).
+Linear programs go to scipy's HiGHS backend. Quadratic programs take one
+path: the equalities are eliminated over their null space once per program,
+and each solve runs proximal-point outer steps, each one least-distance
+problem solved by `scipy.optimize.nnls` (Bemporad, IEEE TAC 2016 and 2018).
+"infeasible" and "unbounded" come with a certificate checked on the
+original data; every other non-optimal outcome is a numerical failure.
 Both entry points are pure functions: identical inputs give identical outputs.
 """
 
@@ -15,8 +19,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import linprog
+from scipy.linalg import solve_triangular
+from scipy.optimize import linprog, nnls
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +95,15 @@ STATUS_FAILURE = "numerical-failure"
 
 #: margin used to close strict inequalities (x < b becomes x <= b - STRICT_MARGIN)
 STRICT_MARGIN = 1e-9
+
+#: proximal weight of the QP outer steps: Z'PZ + PROX_EPS I is positive
+#: definite for every positive semidefinite P. Larger values take more outer
+#: steps (with 1e-3, 4 of 19 power-4 nominal QPs hit PROX_STEPS); smaller
+#: ones lose accuracy in the factor (with 1e-6, the worst truck primal
+#: residual rose from 8e-10 to 6e-9)
+PROX_EPS = 1e-5
+#: outer steps before a QP that has not converged is classified
+PROX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,8 @@ class QuadraticProgram(_Constrained):
     """min 0.5 x'Px + q'x subject to the constraint blocks.
 
     P must be symmetric (1e-10) and positive semidefinite (eigenvalues >= -1e-8).
+    The reduction every solve needs is computed here, once; copies made by
+    `with_rhs` share it.
     """
 
     P: np.ndarray
@@ -209,6 +224,7 @@ class QuadraticProgram(_Constrained):
         if np.min(np.linalg.eigvalsh(self.P)) < -1e-8:
             raise ValueError("P is not positive semidefinite (eigenvalue < -1e-8)")
         self._coerce_constraints(n)
+        self._reduction = _Reduction.of(self)
 
     @property
     def n(self) -> int:
@@ -306,222 +322,164 @@ def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL) -> SolveRe
 
 def _stack_inequalities(p) -> tuple[np.ndarray, np.ndarray]:
     """Fold A_ub rows and finite variable bounds into a single G x <= h block."""
-    n = p.n
     lb, ub = p.bounds_arrays()
-    blocks_G, blocks_h = [], []
-    if p.A_ub is not None:
-        blocks_G.append(p.A_ub)
-        blocks_h.append(p.b_ub)
-    idx = np.where(np.isfinite(ub))[0]
-    if idx.size:
-        rows = np.zeros((idx.size, n))
-        rows[np.arange(idx.size), idx] = 1.0
-        blocks_G.append(rows)
-        blocks_h.append(ub[idx])
-    idx = np.where(np.isfinite(lb))[0]
-    if idx.size:
-        rows = np.zeros((idx.size, n))
-        rows[np.arange(idx.size), idx] = -1.0
-        blocks_G.append(rows)
-        blocks_h.append(-lb[idx])
-    if not blocks_G:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.vstack(blocks_G), np.concatenate(blocks_h)
+    eye, up, lo = np.eye(p.n), np.isfinite(ub), np.isfinite(lb)
+    G = np.vstack([np.zeros((0, p.n)) if p.A_ub is None else p.A_ub, eye[up], -eye[lo]])
+    return G, np.concatenate([np.zeros(0) if p.b_ub is None else p.b_ub, ub[up], -lb[lo]])
 
 
-def _solve_kkt_equality(P, q, A, b, reg=1e-12):
-    """Solve the equality-constrained QP via its KKT system."""
-    n = q.shape[0]
-    me = A.shape[0]
-    K = np.zeros((n + me, n + me))
-    K[:n, :n] = P + reg * np.eye(n)
-    K[:n, n:] = A.T
-    K[n:, :n] = A
-    K[n:, n:] = -reg * np.eye(me)
-    rhs = np.concatenate([-q, b])
-    sol = np.linalg.solve(K, rhs)
-    return sol[:n], sol[n:]
+@dataclass(frozen=True)
+class _Reduction:
+    """What every solve of one QuadraticProgram shares: the stacked
+    inequalities G x <= h, the equality null space (x = x_p + Z y with
+    x_p = A^+ b for A x = b) and the factor L of the proximal reduced
+    Hessian Z'PZ + PROX_EPS I = L L'."""
+
+    G: np.ndarray
+    h_bounds: np.ndarray  # rhs of the bound rows of G, which follow those of A_ub
+    A: np.ndarray         # A_eq, with no rows when there are no equalities
+    pinv: np.ndarray      # A^+
+    Z: np.ndarray         # orthonormal basis of the null space of A
+    Linv: np.ndarray      # L^-1
+    Mt: np.ndarray        # (G Z L^-T)': the least-distance rows, by column
+    fixed: np.ndarray     # rows of G with G Z = 0 (to rounding), which no y moves
+
+    @classmethod
+    def of(cls, p: "QuadraticProgram") -> "_Reduction":
+        G, h = _stack_inequalities(p)
+        A = np.zeros((0, p.n)) if p.A_eq is None else p.A_eq
+        U, s, Vt = np.linalg.svd(A)
+        rank = int(np.sum(s > s.max(initial=0.0) * max(A.shape) * np.finfo(float).eps))
+        Z = Vt[rank:].T
+        L = np.linalg.cholesky(Z.T @ p.P @ Z + PROX_EPS * np.eye(Z.shape[1]))
+        Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+        GZ = G @ Z
+        fixed = (np.abs(GZ).max(axis=1, initial=0.0)
+                 <= 1e-12 * np.maximum(np.abs(G).max(axis=1, initial=0.0), 1.0))
+        GZ[fixed] = 0.0
+        return cls(G, h[0 if p.b_ub is None else p.b_ub.size:], A,
+                   (Vt[:rank].T / s[:rank]) @ U[:, :rank].T, Z, Linv,
+                   np.ascontiguousarray(Linv @ GZ.T), fixed)
+
+    def rhs(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(h, b) of G x <= h and A x = b for the right-hand sides of p."""
+        h = self.h_bounds if p.b_ub is None else np.concatenate([p.b_ub, self.h_bounds])
+        return h, np.zeros(0) if p.b_eq is None else p.b_eq
 
 
-def _qp_interior_point(P, q, A, b, G, h, x0, tol: ToleranceConfig, iter_limit: int):
-    """Mehrotra predictor-corrector for min 0.5 x'Px + q'x, Ax=b, Gx<=h.
-
-    Returns (x, y, z, status, iterations). Assumes a feasible point exists
-    (checked by the caller with an LP), so failure to converge is numerical.
-    """
-    n = q.shape[0]
-    me = A.shape[0]
-    mi = G.shape[0]
-    x = x0.copy()
-    y = np.zeros(me)
-    s = np.maximum(h - G @ x, 1.0)
-    z = np.ones(mi)
-    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
-                      np.abs(b).max(initial=0.0) if me else 0.0)
-    reg = 1e-10 * (1.0 + np.abs(P).max(initial=0.0))
-
-    for it in range(1, iter_limit + 1):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))
-                and np.all(s > 0) and np.all(z > 0)):
-            return x, y, z, STATUS_FAILURE, it  # iterates degenerated (e.g. infeasible problem)
-        r_d = P @ x + q + G.T @ z + (A.T @ y if me else 0.0)
-        r_p = (A @ x - b) if me else np.zeros(0)
-        r_g = G @ x + s - h
-        mu = float(s @ z) / mi
-        obj = 0.5 * float(x @ P @ x) + float(q @ x)
-        pinf = max(np.abs(r_p).max(initial=0.0), np.abs(r_g).max(initial=0.0))
-        dinf = np.abs(r_d).max(initial=0.0)
-        comp = float(np.max(s * z, initial=0.0))
-        # aim well below the contract tolerance; Mehrotra converges superlinearly
-        if (pinf <= 0.1 * tol.feas_tol * scale
-                and dinf <= 0.05 * tol.opt_tol * scale
-                and comp <= 0.05 * tol.opt_tol * (1.0 + abs(obj))):
-            return x, y, z, STATUS_OPTIMAL, it
-        if obj < -1e14 * scale and pinf <= tol.feas_tol * scale:
-            return x, y, z, STATUS_UNBOUNDED, it
-
-        W = z / s
-        M = P + (G.T * W) @ G + reg * np.eye(n)
-        K = np.zeros((n + me, n + me))
-        K[:n, :n] = M
-        if me:
-            K[:n, n:] = A.T
-            K[n:, :n] = A
-            K[n:, n:] = -reg * np.eye(me)
-        try:
-            lu = lu_factor(K)
-        except (np.linalg.LinAlgError, ValueError):
-            return x, y, z, STATUS_FAILURE, it
-
-        def newton_step(r_c):
-            rhs_x = -r_d - G.T @ ((-r_c + z * r_g) / s)
-            rhs = np.concatenate([rhs_x, -r_p]) if me else rhs_x
-            if not np.all(np.isfinite(rhs)):
-                return None
-            sol = lu_solve(lu, rhs)
-            dx = sol[:n]
-            dy = sol[n:] if me else np.zeros(0)
-            ds = -r_g - G @ dx
-            dz = (-r_c - z * ds) / s
-            return dx, dy, ds, dz
-
-        def step_len(v, dv):
-            neg = dv < 0
-            if not np.any(neg):
-                return 1.0
-            return min(1.0, float(np.min(-v[neg] / dv[neg])))
-
-        # predictor
-        step = newton_step(s * z)
-        if step is None:
-            return x, y, z, STATUS_FAILURE, it
-        dx_a, dy_a, ds_a, dz_a = step
-        alpha_p = step_len(s, ds_a)
-        alpha_d = step_len(z, dz_a)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / mi
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-        # corrector
-        r_c = s * z - sigma * mu * np.ones(mi) + ds_a * dz_a
-        step = newton_step(r_c)
-        if step is None:
-            return x, y, z, STATUS_FAILURE, it
-        dx, dy, ds, dz = step
-        alpha_p = 0.99 * step_len(s, ds)
-        alpha_d = 0.99 * step_len(z, dz)
-        x += alpha_p * dx
-        s += alpha_p * ds
-        y += alpha_d * dy
-        z += alpha_d * dz
-
-    # iteration budget exhausted: accept if the contract tolerance is still met
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
-        return x, y, z, STATUS_FAILURE, iter_limit
-    r_d = P @ x + q + G.T @ z + (A.T @ y if me else 0.0)
-    r_p = (A @ x - b) if me else np.zeros(0)
-    r_g = G @ x + s - h
-    obj = 0.5 * float(x @ P @ x) + float(q @ x)
-    pinf = max(np.abs(r_p).max(initial=0.0), np.abs(r_g).max(initial=0.0))
-    dinf = np.abs(r_d).max(initial=0.0)
-    comp = float(np.max(s * z, initial=0.0))
-    if pinf <= tol.feas_tol * scale and dinf <= tol.opt_tol * scale and comp <= tol.opt_tol * (1.0 + abs(obj)):
-        return x, y, z, STATUS_OPTIMAL, iter_limit
-    return x, y, z, STATUS_FAILURE, iter_limit
+def _least_distance(Mt: np.ndarray, d: np.ndarray):
+    """min 0.5 |u|^2 s.t. M u <= d as one NNLS (Lawson & Hanson, ch. 23):
+    with d scaled to unit max-norm by s, y >= 0 minimizes |[M'; d'/s] y + e|
+    for the last unit vector e, and its residual r gives u = -s r[:-1] / r[-1]
+    with multipliers s y / r[-1]. Returns (u, multipliers), or (None, y)
+    when r[-1] vanishes: then M'y = 0 and d'y < 0, so y is a Farkas vector
+    of M u <= d."""
+    if d.size == 0:
+        return np.zeros(Mt.shape[0]), d
+    s = float(np.abs(d).max()) or 1.0  # keeps r[-1] = 1 / (1 + |u / s|^2) away from 0
+    E = np.vstack([Mt, d / s])
+    e = np.zeros(E.shape[0])
+    e[-1] = 1.0
+    y, _ = nnls(E, -e)
+    r = E @ y + e
+    if not r[-1] > 1e-14:
+        return None, y
+    return -s * r[:-1] / r[-1], s * y / r[-1]
 
 
-def qp_kkt_residual(p: QuadraticProgram, x: np.ndarray, y_eq: np.ndarray | None,
-                    z_ineq: np.ndarray | None) -> float:
-    """Max-norm KKT residual (stationarity, feasibility, complementarity)."""
-    G, h = _stack_inequalities(p)
-    grad = p.P @ x + p.q
-    if p.A_eq is not None and y_eq is not None:
-        grad = grad + p.A_eq.T @ y_eq
-    if G.shape[0] and z_ineq is not None:
-        grad = grad + G.T @ z_ineq
-    res = float(np.abs(grad).max(initial=0.0))
-    res = max(res, _primal_residual(p, x))
-    if G.shape[0] and z_ineq is not None:
-        res = max(res, float(np.abs(z_ineq * (G @ x - h)).max(initial=0.0)))
-    return res
+def _infeasibility(p: QuadraticProgram, u, mu, tol: ToleranceConfig) -> SolveReport:
+    """Check (u >= 0, mu) as a Farkas vector on the original data: G'u +
+    A_eq'mu = 0 and h'u + b_eq'mu < 0 mean that no x has G x <= h and
+    A_eq x = b_eq. Both are checked to the feasibility tolerance after
+    scaling the vector to unit max-norm; "infeasible" is reported only when
+    they hold, and a numerical failure otherwise."""
+    red = p._reduction
+    h, b = red.rhs(p)
+    if mu is None:
+        mu = -red.pinv.T @ (red.G.T @ u)
+    scale = max(float(np.abs(u).max(initial=0.0)), float(np.abs(mu).max(initial=0.0)))
+    if np.all(np.isfinite(u)) and np.all(u >= 0) and np.isfinite(scale) and scale > 0:
+        u, mu = u / scale, mu / scale
+        res = float(np.abs(red.G.T @ u + red.A.T @ mu).max(initial=0.0))
+        gap = float(h @ u + b @ mu)
+        if res <= tol.feas_tol and gap < -tol.feas_tol:
+            return SolveReport(status=STATUS_INFEASIBLE, residuals={"farkas": res},
+                               duals={"ineq": u, "eq": mu if p.A_eq is not None else None},
+                               message=f"Farkas certificate: h'u + b'mu = {gap:.3e}")
+    return SolveReport(status=STATUS_FAILURE, message="infeasibility candidate failed its check")
+
+
+def _unboundedness(p: QuadraticProgram, dy, tol: ToleranceConfig) -> SolveReport:
+    """Check the last proximal step as a recession direction d on the
+    original data: P d = 0, A_eq d = 0, G d <= 0 and q'd < 0 mean that the
+    objective decreases without bound from any feasible point."""
+    red = p._reduction
+    d = red.Z @ dy
+    d = d / float(np.abs(d).max(initial=0.0))
+    if (float(np.abs(np.vstack([p.P, red.A]) @ d).max()) <= tol.feas_tol
+            and float(np.max(red.G @ d, initial=0.0)) <= tol.feas_tol
+            and float(p.q @ d) < -tol.opt_tol):
+        return SolveReport(status=STATUS_UNBOUNDED, iterations=PROX_STEPS,
+                           message="objective unbounded below along a checked ray")
+    return SolveReport(status=STATUS_FAILURE, iterations=PROX_STEPS,
+                       message=f"no convergence in {PROX_STEPS} proximal steps")
 
 
 def solve_qp(p: QuadraticProgram, tol: ToleranceConfig = DEFAULT_QP_TOL) -> SolveReport:
-    """Solve a convex quadratic program with a self-contained dense
-    predictor-corrector interior-point method; a failed run is classified
-    with a feasibility LP, so infeasibility is always reported, never silent.
+    """Solve a convex quadratic program by proximal-point NNLS steps over the
+    equality null space (Bemporad, IEEE TAC 2016 and 2018).
+
+    x = x_p + Z y with x_p = A_eq^+ b_eq; an inconsistent A_eq x = b_eq is
+    infeasible, with the residual as its certificate. Each outer step
+    minimizes the reduced objective plus (PROX_EPS / 2)|y - y_k|^2 over
+    G Z y <= h - G x_p: with u = L'y + L^-1 c_k that is a least-distance
+    problem, solved by one NNLS. The steps stop once the proximal term moves
+    the stationarity residual by less than a hundredth of opt_tol.
+    "infeasible" and "unbounded" are reported only with a certificate
+    checked on the original data, "optimal" only with checked primal and
+    KKT residuals; everything else is a numerical failure.
     """
-    n = p.n
-    G, h = _stack_inequalities(p)
-    has_eq = p.A_eq is not None and p.A_eq.shape[0] > 0
-
-    if G.shape[0] == 0 and not has_eq:
-        x, _, _, _ = np.linalg.lstsq(p.P, -p.q, rcond=None)
-        if np.abs(p.P @ x + p.q).max(initial=0.0) > 1e-7 * (1.0 + np.abs(p.q).max(initial=0.0)):
-            return SolveReport(status=STATUS_UNBOUNDED, message="objective unbounded below")
-        obj = 0.5 * float(x @ p.P @ x) + float(p.q @ x)
-        return SolveReport(status=STATUS_OPTIMAL, x=x, objective=obj,
-                           residuals={"primal": 0.0, "kkt": float(np.abs(p.P @ x + p.q).max(initial=0.0))})
-
-    A = p.A_eq if has_eq else np.zeros((0, n))
-    b = p.b_eq if has_eq else np.zeros(0)
-
-    if G.shape[0] == 0:
-        x, y = _solve_kkt_equality(p.P, p.q, A, b)
-        kkt = qp_kkt_residual(p, x, y, None)
-        if kkt > tol.opt_tol * (1.0 + np.abs(p.q).max(initial=0.0)):
-            return SolveReport(status=STATUS_FAILURE, message=f"KKT residual {kkt:.3e}")
-        obj = 0.5 * float(x @ p.P @ x) + float(p.q @ x)
-        return SolveReport(status=STATUS_OPTIMAL, x=x, objective=obj,
-                           residuals={"primal": _primal_residual(p, x), "kkt": kkt},
-                           duals={"eq": y})
-
-    iter_limit = max(min(tol.iter_cap(n, p.n_rows), 200), 50)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, y, z, status, iters = _qp_interior_point(p.P, p.q, A, b, G, h, np.zeros(n), tol, iter_limit)
-    if status != STATUS_OPTIMAL:
-        # classify: run the feasibility LP only on the failure path
-        feas = solve_lp(
-            LinearProgram(np.zeros(n), A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
-                          lb=p.lb, ub=p.ub),
-            ToleranceConfig(feas_tol=tol.feas_tol, opt_tol=tol.feas_tol),
-        )
-        if feas.status == STATUS_INFEASIBLE:
-            return SolveReport(status=STATUS_INFEASIBLE, message="constraints are infeasible")
-        if feas.status == STATUS_OPTIMAL and status == STATUS_FAILURE:
-            # provably feasible: retry once from the certified point
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                x, y, z, status, iters = _qp_interior_point(
-                    p.P, p.q, A, b, G, h, feas.x, tol, 2 * iter_limit)
-    if status != STATUS_OPTIMAL:
-        return SolveReport(status=status, iterations=iters, message="interior point did not converge"
-                           if status == STATUS_FAILURE else "")
-    kkt = qp_kkt_residual(p, x, y if has_eq else None, z)
-    obj = 0.5 * float(x @ p.P @ x) + float(p.q @ x)
-    return SolveReport(
-        status=STATUS_OPTIMAL,
-        x=x,
-        objective=obj,
-        residuals={"primal": _primal_residual(p, x), "kkt": kkt},
-        duals={"eq": y if has_eq else None, "ineq": z},
-        iterations=iters,
-    )
-
+    red = p._reduction
+    h, b = red.rhs(p)
+    scale = 1.0 + float(np.abs(p.q).max(initial=0.0))
+    with np.errstate(all="ignore"):
+        x_p = red.pinv @ b
+        r_eq = red.A @ x_p - b
+        if float(np.abs(r_eq).max(initial=0.0)) > tol.feas_tol:
+            return _infeasibility(p, np.zeros(h.size), r_eq, tol)
+        c = red.Z.T @ (p.P @ x_p + p.q)
+        d0 = h - red.G @ x_p
+        # a fixed row holds within the feasibility tolerance or never
+        d0[red.fixed] = np.where(d0[red.fixed] >= -tol.feas_tol,
+                                 np.maximum(d0[red.fixed], 0.0), d0[red.fixed])
+        y = np.zeros(red.Z.shape[1])
+        for it in range(1, PROX_STEPS + 1):
+            w = red.Linv @ (c - PROX_EPS * y)
+            try:
+                u, lam = _least_distance(red.Mt, d0 + red.Mt.T @ w)
+            except (ValueError, RuntimeError) as e:  # non-finite data, or NNLS's step cap
+                return SolveReport(status=STATUS_FAILURE, iterations=it, message=f"NNLS: {e}")
+            if u is None:
+                return _infeasibility(p, lam, None, tol)
+            y_next = red.Linv.T @ (u - w)
+            dy, y = y_next - y, y_next
+            if PROX_EPS * float(np.abs(dy).max(initial=0.0)) <= 1e-2 * tol.opt_tol * scale:
+                break
+        else:
+            return _unboundedness(p, dy, tol)
+        x = x_p + red.Z @ y
+        mu = -red.pinv.T @ (p.P @ x + p.q + red.G.T @ lam)
+        # max-norm KKT residual on the original data: stationarity,
+        # feasibility and complementarity
+        primal = _primal_residual(p, x)
+        kkt = max(primal,
+                  float(np.abs(p.P @ x + p.q + red.G.T @ lam + red.A.T @ mu).max(initial=0.0)),
+                  float(np.abs(lam * (red.G @ x - h)).max(initial=0.0)))
+    if not (np.all(np.isfinite(x)) and primal <= tol.feas_tol and kkt <= tol.opt_tol * scale):
+        return SolveReport(status=STATUS_FAILURE, iterations=it,
+                           message=f"residuals: primal {primal:.3e}, KKT {kkt:.3e}")
+    return SolveReport(status=STATUS_OPTIMAL, x=x,
+                       objective=0.5 * float(x @ p.P @ x) + float(p.q @ x),
+                       residuals={"primal": primal, "kkt": kkt},
+                       duals={"ineq": lam, "eq": mu if p.A_eq is not None else None},
+                       iterations=it)

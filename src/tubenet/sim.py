@@ -284,70 +284,49 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
 class NaiveMpc:
     """Coupling-blind MPC baseline: per-step QP over the local model alone,
     zero terminal state, no tube, no tightening. Exists to demonstrate loss
-    of feasibility under coupling; not a recommended controller."""
+    of feasibility under coupling; not a recommended controller.
+
+    The QP is built once: variables x(0..N), u(0..N-1); the measured state is
+    pinned by x(0) = x, the only right-hand side a step writes, and the
+    states x(0..N-1) and inputs must lie in X and U."""
 
     def __init__(self, sub: Subsystem, N: int = 20, Q=None, R=None):
         cfg = MpcConfig(int(N), Q, R).resolved(sub.n, sub.m)  # as for the tube controllers
         self.sub, self.id = sub, sub.id
         self.N, self.Q, self.R = cfg.N, cfg.Q, cfg.R
+        n, m, N = sub.n, sub.m, self.N
+        nx = (N + 1) * n  # x(0..N) come first, then u(0..N-1)
+        eye = np.eye(N)
+        A_eq = np.zeros(((N + 2) * n, nx + N * m))
+        A_eq[:n, :n] = np.eye(n)  # x(0) = x
+        A_eq[n:nx, n:nx] = np.eye(N * n)  # x(j+1) - A x(j) - B u(j) = 0
+        A_eq[n:nx, :N * n] -= np.kron(eye, sub.A)
+        A_eq[n:nx, nx:] = -np.kron(eye, sub.B)
+        A_eq[nx:, N * n:nx] = np.eye(n)  # x(N) = 0
+        G = np.zeros((N * (sub.X.n_rows + sub.U.n_rows), nx + N * m))
+        G[:N * sub.X.n_rows, :N * n] = np.kron(eye, sub.X.C)
+        G[N * sub.X.n_rows:, nx:] = np.kron(eye, sub.U.C)
+        P = np.zeros((nx + N * m, nx + N * m))
+        P[:N * n, :N * n] = np.kron(eye, 2.0 * self.Q)
+        P[nx:, nx:] = np.kron(eye, 2.0 * self.R)
+        self.program = QuadraticProgram(
+            P, np.zeros(nx + N * m), A_ub=G,
+            b_ub=np.concatenate([np.tile(sub.X.d, N), np.tile(sub.U.d, N)]),
+            A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]))
 
     def step(self, x) -> tuple[np.ndarray, dict]:
-        """Returns (u(0), info); raises InfeasibleStep when the measured state
-        is inadmissible or the QP has no solution (predicted states
-        constrained from step 1 to N-1, inputs throughout, terminal state
-        pinned to the origin)."""
-        sub = self.sub
-        n, m, N = sub.n, sub.m, self.N
-        x = np.asarray(x, dtype=float).reshape(n)
-        if not sub.X.contains(x, tol=1e-9):
-            raise InfeasibleStep(self.id, "infeasible")
-        NV = N * n + N * m  # x(1..N), u(0..N-1)
-
-        def xs(j):  # j in 1..N
-            return slice((j - 1) * n, j * n)
-
-        def us(j):
-            return slice(N * n + j * m, N * n + (j + 1) * m)
-
-        A_eq = np.zeros((N * n + n, NV))
-        b_eq = np.zeros(N * n + n)
-        for j in range(N):
-            A_eq[j * n:(j + 1) * n, xs(j + 1)] = np.eye(n)
-            A_eq[j * n:(j + 1) * n, us(j)] = -sub.B
-            if j == 0:
-                b_eq[:n] = sub.A @ x
-            else:
-                A_eq[j * n:(j + 1) * n, xs(j)] = -sub.A
-        A_eq[N * n:, xs(N)] = np.eye(n)  # x(N) = 0
-
-        rows, rhs = [], []
-        for j in range(1, N):  # state constraints start one step in
-            row = np.zeros((sub.X.n_rows, NV))
-            row[:, xs(j)] = sub.X.C
-            rows.append(row)
-            rhs.append(sub.X.d)
-        for j in range(N):
-            row = np.zeros((sub.U.n_rows, NV))
-            row[:, us(j)] = sub.U.C
-            rows.append(row)
-            rhs.append(sub.U.d)
-
-        P = np.zeros((NV, NV))
-        q = np.zeros(NV)
-        for j in range(1, N):
-            P[xs(j), xs(j)] = 2.0 * self.Q
-        for j in range(N):
-            P[us(j), us(j)] = 2.0 * self.R
-        # stage cost at k=0 contributes only the constant x'Qx
-        rep = solve_qp(QuadraticProgram(P, q, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                                        A_eq=A_eq, b_eq=b_eq))
-        if rep.status == "infeasible":
-            raise InfeasibleStep(self.id, "infeasible")
+        """Returns (u(0), info); raises InfeasibleStep with the solver's
+        status when the QP has no solution, which an inadmissible measured
+        state makes certifiably infeasible."""
+        n, m, N = self.sub.n, self.sub.m, self.N
+        b_eq = np.zeros(self.program.A_eq.shape[0])
+        b_eq[:n] = np.asarray(x, dtype=float).reshape(n)
+        rep = solve_qp(self.program.with_rhs(b_eq=b_eq))
         if not rep.optimal:
             raise InfeasibleStep(self.id, rep.status)
-        u0 = rep.x[us(0)]
-        objective = rep.objective + float(x @ self.Q @ x)
-        return u0, {"objective": objective, "x_pred": rep.x[:N * n].reshape(N, n)}
+        nx = (N + 1) * n
+        return rep.x[nx:nx + m], {"objective": rep.objective,
+                                  "x_pred": rep.x[n:nx].reshape(N, n)}
 
 
 def build_naive_counterexample_network() -> Network:

@@ -382,6 +382,59 @@ def test_design_rejects_state_set_without_origin(tmp_path, capsys):
     assert "origin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, row", [("X", 3), ("U", 1)])
+def test_design_rejects_unbounded_set(tmp_path, capsys, key, row):
+    # the truck without its lower velocity (or input) row is unbounded below
+    doc = truck_scenario(T=5)
+    for part in ("C", "d"):
+        del doc["subsystems"][0][key][part][row]
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["design", str(spath), "-o", str(tmp_path / "b.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"unbounded set at $.subsystems[0].{key}" in err and "Traceback" not in err
+
+
+INDEFINITE = [[-1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("where, key, path", [
+    ("scenario", "Q", "$.controller.Q"),
+    ("scenario", "R", "$.controller.R"),
+    ("subsystem", "Q", "$.subsystems[1].controller.Q"),
+    ("subsystem", "R", "$.subsystems[1].controller.R"),
+])
+def test_design_rejects_weights_not_positive_definite(tmp_path, capsys, where, key, path):
+    doc = truck_scenario(T=5)
+    settings = doc["controller"] if where == "scenario" else doc["subsystems"][1].setdefault(
+        "controller", {})
+    settings[key] = INDEFINITE if key == "Q" else [[0.0]]
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["design", str(spath), "-o", str(tmp_path / "b.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"weight at {path} is not symmetric positive definite" in err
+    assert "Traceback" not in err
+
+
+def test_plug_rejects_weights_not_positive_definite(truck_paths, tmp_path, capsys):
+    _, bundle_path = truck_paths
+    delta = {
+        "add_subsystem": {
+            "id": "3", "A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [1.0]],
+            "X": {"C": np.vstack([np.eye(2), -np.eye(2)]).tolist(), "d": [2.0, 2.0, 2.0, 2.0]},
+            "U": {"C": [[1.0], [-1.0]], "d": [1.0, 1.0]},
+        },
+        "controller": {"Q": INDEFINITE},
+    }
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(delta))
+    out = tmp_path / "out.json"
+    assert main(["plug", str(dpath), str(bundle_path), "-o", str(out)]) == EXIT_USAGE
+    assert "weight at $.controller.Q is not symmetric positive definite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plug_rejected_keeps_bundle_unchanged(truck_paths, tmp_path, capsys):
     scenario_path, bundle_path = truck_paths
     before = bundle_path.read_text()

@@ -415,21 +415,32 @@ def test_nominal_rhs_does_not_leak_between_solves(power_four_areas, variant):
 
 
 def test_hessian_is_checked_once_per_controller(monkeypatch, truck_network):
+    """The PSD check and the factorizations of the QP (the SVD of the
+    equalities, the Cholesky factor of the reduced Hessian) run once per
+    controller, not once per QP; each QP report counts its proximal steps."""
     ctrls = design_truck_controllers(truck_network)
-    calls = {"eigvalsh": 0, "qp": 0}
-    eigvalsh, solve_qp = optim.np.linalg.eigvalsh, controller_mod.solve_qp
+    calls = {"eigvalsh": 0, "svd": 0, "cholesky": 0}
+    reports = []
+    solve_qp = controller_mod.solve_qp
 
-    def counting_eigvalsh(*args, **kwargs):
-        calls["eigvalsh"] += 1
-        return eigvalsh(*args, **kwargs)
+    def counting(name):
+        original = getattr(optim.np.linalg, name)
 
-    def counting_solve_qp(*args, **kwargs):
-        calls["qp"] += 1
-        return solve_qp(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(optim.np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(controller_mod, "solve_qp", counting_solve_qp)
+    def recording_solve_qp(*args, **kwargs):
+        reports.append(solve_qp(*args, **kwargs))
+        return reports[-1]
+
+    for name in calls:
+        monkeypatch.setattr(optim.np.linalg, name, counting(name))
+    monkeypatch.setattr(controller_mod, "solve_qp", recording_solve_qp)
     tr = run(truck_network, ctrls, SimConfig(T=150, x0={"1": np.zeros(2), "2": [3.0, 0.0]}))
     assert tr.steps == 150
-    assert calls["qp"] > 5 * len(ctrls)  # many QPs per controller
-    assert calls["eigvalsh"] == len(ctrls)
+    assert len(reports) > 5 * len(ctrls)  # many QPs per controller
+    assert calls == {"eigvalsh": len(ctrls), "svd": len(ctrls), "cholesky": len(ctrls)}
+    assert all(r.optimal and type(r.iterations) is int and 1 <= r.iterations < optim.PROX_STEPS
+               and r.duals["ineq"] is not None and r.duals["eq"] is not None for r in reports)

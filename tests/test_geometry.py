@@ -353,3 +353,11 @@ def test_hpolytope_validation():
 def test_duplicate_vertices_are_legal():
     P = VPolytope([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     assert P.n_vertices == 3
+
+
+def test_boundedness_is_decided_from_the_rows():
+    assert HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.ones(3)).is_bounded()
+    assert HPolytope.box([-1.0, -2.0, 0.0], [1.0, 2.0, 3.0]).is_bounded()
+    # a slab, and a box without one facet, contain a ray
+    assert not HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2)).is_bounded()
+    assert not HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), np.ones(3)).is_bounded()

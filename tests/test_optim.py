@@ -2,16 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tubenet import optim
 from tubenet.optim import (
     DEFAULT_LP_TOL,
     DEFAULT_QP_TOL,
+    PROX_STEPS,
     LinearProgram,
     QuadraticProgram,
-    qp_kkt_residual,
     solve_lp,
     solve_qp,
 )
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def lp_dual_objective(p: LinearProgram, report) -> float:
@@ -141,9 +146,35 @@ def test_qp_box_constrained_matches_grid_search():
     assert r.x[0] == pytest.approx(1.0, abs=1e-6)
 
 
+def _farkas_holds(p, rep):
+    """The infeasible report's duals (u >= 0, mu) satisfy G'u + A_eq'mu = 0
+    and h'u + b_eq'mu < 0 on the program's own rows and bounds."""
+    lb, ub = p.bounds_arrays()
+    rows = [p.A_ub] if p.A_ub is not None else []
+    rhs = [p.b_ub] if p.b_ub is not None else []
+    fin_u, fin_l = np.isfinite(ub), np.isfinite(lb)
+    rows += [np.eye(p.n)[fin_u], -np.eye(p.n)[fin_l]]
+    rhs += [ub[fin_u], -lb[fin_l]]
+    G, h = np.vstack(rows), np.concatenate(rhs)
+    u, mu = rep.duals["ineq"], rep.duals["eq"]
+    ray, gap = G.T @ u, h @ u
+    if p.A_eq is not None:
+        ray, gap = ray + p.A_eq.T @ mu, gap + p.b_eq @ mu
+    return np.all(u >= 0) and np.abs(ray).max() <= 1e-8 and gap < -1e-8
+
+
 def test_qp_infeasible_reported():
-    r = solve_qp(QuadraticProgram(P=[[1.0]], q=[0.0], lb=[1.0], ub=[-1.0]))
-    assert r.status == "infeasible"
+    box = dict(P=np.eye(2), q=np.zeros(2), lb=[-1.0, -1.0], ub=[1.0, 1.0])
+    cases = [
+        QuadraticProgram(P=[[1.0]], q=[0.0], lb=[1.0], ub=[-1.0]),
+        QuadraticProgram(A_ub=[[1.0, 1.0]], b_ub=[-3.0], **box),  # misses the box
+        QuadraticProgram(A_eq=[[1.0, 1.0]], b_eq=[3.0], **box),
+        QuadraticProgram(A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 3.0], **box),  # inconsistent
+    ]
+    for p in cases:
+        rep = solve_qp(p)
+        assert rep.status == "infeasible" and rep.x is None
+        assert _farkas_holds(p, rep)
 
 
 def test_qp_validates_hessian():
@@ -153,21 +184,26 @@ def test_qp_validates_hessian():
         QuadraticProgram(P=[[-1.0]], q=[0.0])
 
 
-def _brute_force_qp(P, q, G, h):
-    """Enumerate active sets of Gx<=h and return the best feasible KKT point."""
+def _brute_force_qp(P, q, G, h, A=None, b=None):
+    """Enumerate active sets of Gx<=h (with every row of Ax=b active) and
+    return the best KKT point whose linear system was solved exactly."""
     m, n = G.shape
+    A = np.zeros((0, n)) if A is None else A
+    b = np.zeros(0) if b is None else b
     best, best_obj = None, np.inf
-    for k in range(0, n + 1):
+    for k in range(0, n - A.shape[0] + 1):
         for rows in itertools.combinations(range(m), k):
-            Ga = G[list(rows)]
-            K = np.block([[P, Ga.T], [Ga, np.zeros((k, k))]])
-            rhs = np.concatenate([-q, h[list(rows)]])
+            Ga = np.vstack([A, G[list(rows)]])
+            K = np.block([[P, Ga.T], [Ga, np.zeros((Ga.shape[0], Ga.shape[0]))]])
+            rhs = np.concatenate([-q, b, h[list(rows)]])
             try:
                 sol = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError:
                 continue
+            if np.abs(K @ sol - rhs).max() > 1e-9:
+                continue
             x = sol[:n]
-            lam = sol[n:]
+            lam = sol[n + A.shape[0]:]
             if np.any(G @ x - h > 1e-9) or np.any(lam < -1e-9):
                 continue
             obj = 0.5 * x @ P @ x + q @ x
@@ -188,8 +224,8 @@ def test_qp_random_instances_match_active_set_enumeration():
         h = rng.normal(size=m) + 1.0
         r = solve_qp(QuadraticProgram(P=P, q=q, A_ub=G, b_ub=h))
         x_ref, obj_ref = _brute_force_qp(P, q, G, h)
-        if x_ref is None:
-            assert r.status in ("infeasible", "unbounded")
+        if x_ref is None:  # P is positive definite, so the QP cannot be unbounded
+            assert r.status == "infeasible"
             continue
         assert r.optimal
         assert r.objective == pytest.approx(obj_ref, abs=1e-6)
@@ -234,6 +270,109 @@ def test_qp_psd_singular_hessian_with_free_block():
     # optimum puts all movement on the curvature-free coordinate
     assert r.x[0] == pytest.approx(0.0, abs=1e-5)
     assert r.x[1] == pytest.approx(2.0, abs=1e-5)
+
+
+# ------------------------------------------------------- certified failures
+
+def test_qp_unbounded_only_with_a_checked_ray():
+    # no curvature along x2 and a linear pull towards +inf
+    p = QuadraticProgram(P=np.diag([1.0, 0.0]), q=[0.0, -1.0], lb=[-1.0, 0.0])
+    rep = solve_qp(p)
+    assert rep.status == "unbounded" and rep.iterations == PROX_STEPS
+    # the same flat direction without a pull is bounded
+    rep = solve_qp(QuadraticProgram(P=np.diag([1.0, 0.0]), q=[1.0, 0.0], lb=[-1.0, 0.0]))
+    assert rep.optimal and rep.x[0] == pytest.approx(-1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("garbage", ["nan", "zeros", "random", "huge", "raises"])
+def test_qp_garbage_from_nnls_is_a_numerical_failure(monkeypatch, garbage):
+    rng = np.random.default_rng(0)
+    outputs = {
+        "nan": lambda k: np.full(k, np.nan),
+        "zeros": lambda k: np.zeros(k),
+        "random": lambda k: rng.random(k),
+        "huge": lambda k: np.full(k, 1e12),
+    }
+
+    def bad_nnls(E, f, **kwargs):
+        if garbage == "raises":
+            raise RuntimeError("Maximum number of iterations reached.")
+        return outputs[garbage](E.shape[1]), 0.0
+
+    feasible = QuadraticProgram(P=np.eye(2), q=[-3.0, -3.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+                                lb=[0.0, 0.0])  # the unconstrained minimum is cut off
+    infeasible = QuadraticProgram(P=np.eye(2), q=np.zeros(2), A_ub=[[1.0, 1.0]], b_ub=[-3.0],
+                                  lb=[-1.0, -1.0], ub=[1.0, 1.0])
+    assert solve_qp(feasible).optimal and solve_qp(infeasible).status == "infeasible"
+    monkeypatch.setattr(optim, "nnls", bad_nnls)
+    for p in (feasible, infeasible):
+        assert solve_qp(p).status == "numerical-failure"
+
+
+# ------------------------------------------------------------ property suite
+
+def _random_qp(seed, n, rank, n_eq, n_ub):
+    """A feasible QP with P = L L' of rank < n, equality rows through a
+    known point, inequality rows with slack there, and finite bounds."""
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(n, min(rank, n - 1)))
+    x0 = rng.uniform(-1.0, 1.0, size=n)
+    A = rng.normal(size=(n_eq, n))
+    G = rng.normal(size=(n_ub, n))
+    return dict(P=L @ L.T, q=rng.normal(size=n),
+                A_ub=G if n_ub else None, b_ub=G @ x0 + rng.uniform(0.0, 1.0, n_ub) if n_ub else None,
+                A_eq=A if n_eq else None, b_eq=A @ x0 if n_eq else None,
+                lb=-2.0 * np.ones(n), ub=2.0 * np.ones(n))
+
+
+QP_SHAPES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), rank=st.integers(0, 4),
+                 n_eq=st.integers(0, 2), n_ub=st.integers(0, 3))
+
+
+@PROPERTY
+@given(**QP_SHAPES)
+def test_qp_property_optimal_points_are_certified(seed, n, rank, n_eq, n_ub):
+    data = _random_qp(seed, n, rank, n_eq, n_ub)
+    p = QuadraticProgram(**data)
+    rep = solve_qp(p)
+    assert rep.optimal, rep.message
+    assert rep.residuals["kkt"] <= 1e-6 * (1.0 + np.abs(p.q).max())
+    assert rep.residuals["primal"] <= DEFAULT_QP_TOL.feas_tol
+    assert isinstance(rep.iterations, int) and 1 <= rep.iterations < PROX_STEPS
+    G = np.vstack([np.zeros((0, n)) if p.A_ub is None else p.A_ub, np.eye(n), -np.eye(n)])
+    h = np.concatenate([np.zeros(0) if p.b_ub is None else p.b_ub, p.ub, -p.lb])
+    _, best = _brute_force_qp(p.P, p.q, G, h, p.A_eq, p.b_eq)
+    if np.isfinite(best):
+        assert rep.objective <= best + 1e-6
+        assert rep.objective >= best - 1e-6
+
+
+@PROPERTY
+@given(**QP_SHAPES)
+def test_qp_property_reports_are_bitwise_deterministic(seed, n, rank, n_eq, n_ub):
+    data = _random_qp(seed, n, rank, n_eq, n_ub)
+    a, b = solve_qp(QuadraticProgram(**data)), solve_qp(QuadraticProgram(**data))
+    assert a.status == b.status and a.iterations == b.iterations
+    assert np.array_equal(a.x, b.x) and a.objective == b.objective
+    assert a.residuals == b.residuals
+    for key in ("ineq", "eq"):
+        assert (a.duals[key] is None and b.duals[key] is None) or np.array_equal(a.duals[key],
+                                                                                 b.duals[key])
+
+
+@PROPERTY
+@given(**QP_SHAPES, gap=st.floats(1e-3, 10.0))
+def test_qp_property_infeasible_points_are_certified(seed, n, rank, n_eq, n_ub, gap):
+    # a row pair g'x <= a and -g'x <= -a - gap leaves no feasible point
+    data = _random_qp(seed, n, rank, n_eq, n_ub)
+    g = np.random.default_rng(seed).normal(size=n)
+    rows = [g, -g] if data["A_ub"] is None else [data["A_ub"], g, -g]
+    rhs = [[0.5], [-0.5 - gap]] if data["b_ub"] is None else [data["b_ub"], [0.5], [-0.5 - gap]]
+    data.update(A_ub=np.vstack(rows), b_ub=np.concatenate(rhs))
+    p = QuadraticProgram(**data)
+    rep = solve_qp(p)
+    assert rep.status == "infeasible", rep.message
+    assert _farkas_holds(p, rep)
 
 
 def test_iteration_cap_config():

@@ -142,6 +142,55 @@ def test_naive_counterexample_reproduction():
     assert tr.infeasible_id == "1"
 
 
+def test_naive_program_is_built_once(monkeypatch):
+    from tubenet import optim
+
+    calls = []
+    eigvalsh = optim.np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(optim.np.linalg, "eigvalsh", counting_eigvalsh)
+    net = build_naive_counterexample_network()
+    ctrls = paper_naive_controllers(net)
+    cfg = SimConfig(T=5, x0={"1": [1.5, 0.8, 0.0, 0.0], "2": [1.5, 0.0, 0.0, 0.0]},
+                    record_failure=True)
+    tr = run(net, ctrls, cfg)
+    assert tr.infeasible_at == 1
+    for x in ([0.0, 0.0, 0.0, 0.0], [-0.7, 0.3, 0.2, -0.1]):  # and more steps
+        for ctrl in ctrls.values():
+            ctrl.step(np.array(x))
+    assert len(calls) == len(ctrls)
+
+
+def test_naive_infeasibility_is_certified(monkeypatch):
+    """The step at t = 1 fails with a Farkas vector (u >= 0, mu) that holds on
+    the QP's own data: G'u + A_eq'mu = 0 and h'u + b_eq'mu < 0."""
+    from tubenet import sim
+
+    reports = []
+    solve_qp = sim.solve_qp
+
+    def recording_solve_qp(p, *args, **kwargs):
+        reports.append((p, solve_qp(p, *args, **kwargs)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(sim, "solve_qp", recording_solve_qp)
+    net = build_naive_counterexample_network()
+    cfg = SimConfig(T=5, x0={"1": [1.5, 0.8, 0.0, 0.0], "2": [1.5, 0.0, 0.0, 0.0]},
+                    record_failure=True)
+    tr = run(net, paper_naive_controllers(net), cfg)
+    assert tr.infeasible_at == 1 and tr.infeasible_status == "infeasible"
+    p, rep = reports[-1]
+    assert rep.status == "infeasible"
+    u, mu = rep.duals["ineq"], rep.duals["eq"]
+    assert np.all(u >= 0)
+    assert np.abs(p.A_ub.T @ u + p.A_eq.T @ mu).max() <= 1e-10
+    assert p.b_ub @ u + p.b_eq @ mu < -1e-6
+
+
 def test_naive_raises_without_record_flag():
     net = build_naive_counterexample_network()
     ctrls = paper_naive_controllers(net)
