@@ -196,6 +196,46 @@ def _check_weights(settings: dict, path: str, n: int | None = None, m: int | Non
             raise ScenarioError(f"weight at {path}.{key} is not symmetric positive definite")
 
 
+def _check_subsystem(s: dict, path: str) -> tuple[int, int]:
+    """Shapes, bounded X and U and the own controller weights of one
+    subsystem entry at path; returns its (n, m)."""
+    A = np.asarray(s["A"], dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ScenarioError(f"ill-shaped matrix at {path}.A: expected square")
+    n = A.shape[0]
+    B = np.asarray(s["B"], dtype=float)
+    if B.ndim != 2 or B.shape[0] != n:
+        raise ScenarioError(f"ill-shaped matrix at {path}.B: {B.shape} does not match n={n}")
+    for key in ("X", "U"):
+        C = np.asarray(s[key]["C"], dtype=float)
+        d = np.asarray(s[key]["d"], dtype=float)
+        want = n if key == "X" else B.shape[1]
+        if C.ndim != 2 or C.shape[1] != want or C.shape[0] != d.shape[0]:
+            raise ScenarioError(f"ill-shaped matrix at {path}.{key}: C is {C.shape}, "
+                                f"d has {d.shape[0]} rows, expected width {want}")
+        try:
+            bounded = HPolytope(C, d).is_bounded()
+        except GeometryError as e:
+            raise ScenarioError(f"invalid set at {path}.{key}: {e}") from e
+        if not bounded:
+            raise ScenarioError(f"unbounded set at {path}.{key}: some direction "
+                                "meets no row of C")
+    _check_weights(s.get("controller", {}), f"{path}.controller", n, B.shape[1])
+    return n, B.shape[1]
+
+
+def _check_coupling(c: dict, path: str, dims: dict):
+    """A coupling entry at path joins known subsystems with an A of the
+    right shape; dims maps ids to (n, m)."""
+    src, dst = str(c["from"]), str(c["to"])
+    if src not in dims or dst not in dims:
+        raise ScenarioError(f"unknown subsystem reference at {path}")
+    A = np.asarray(c["A"], dtype=float)
+    if A.shape != (dims[dst][0], dims[src][0]):
+        raise ScenarioError(f"ill-shaped matrix at {path}.A: {A.shape}, "
+                            f"expected ({dims[dst][0]}, {dims[src][0]})")
+
+
 def validate_scenario(doc: dict, root: str = "$"):
     """Schema check with JSON-path diagnostics, then shape consistency; root
     is the path of doc inside its file."""
@@ -205,42 +245,13 @@ def validate_scenario(doc: dict, root: str = "$"):
         raise ScenarioError(f"schema violation at {root}.subsystems: ids are not unique")
     dims = {}
     for idx, s in enumerate(doc["subsystems"]):
-        path = f"{root}.subsystems[{idx}]"
-        A = np.asarray(s["A"], dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ScenarioError(f"ill-shaped matrix at {path}.A: expected square")
-        n = A.shape[0]
-        B = np.asarray(s["B"], dtype=float)
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ScenarioError(f"ill-shaped matrix at {path}.B: {B.shape} does not match n={n}")
-        for key in ("X", "U"):
-            C = np.asarray(s[key]["C"], dtype=float)
-            d = np.asarray(s[key]["d"], dtype=float)
-            want = n if key == "X" else B.shape[1]
-            if C.ndim != 2 or C.shape[1] != want or C.shape[0] != d.shape[0]:
-                raise ScenarioError(f"ill-shaped matrix at {path}.{key}: C is {C.shape}, "
-                                    f"d has {d.shape[0]} rows, expected width {want}")
-            try:
-                bounded = HPolytope(C, d).is_bounded()
-            except GeometryError as e:
-                raise ScenarioError(f"invalid set at {path}.{key}: {e}") from e
-            if not bounded:
-                raise ScenarioError(f"unbounded set at {path}.{key}: some direction "
-                                    "meets no row of C")
+        n, m = _check_subsystem(s, f"{root}.subsystems[{idx}]")
         own = s.get("controller", {})
-        _check_weights(own, f"{path}.controller", n, B.shape[1])
         _check_weights({k: v for k, v in doc["controller"].items() if k not in own},
-                       f"{root}.controller", n, B.shape[1])
-        dims[str(s["id"])] = (n, B.shape[1])
+                       f"{root}.controller", n, m)
+        dims[str(s["id"])] = (n, m)
     for idx, c in enumerate(doc["couplings"]):
-        path = f"{root}.couplings[{idx}]"
-        src, dst = str(c["from"]), str(c["to"])
-        if src not in dims or dst not in dims:
-            raise ScenarioError(f"unknown subsystem reference at {path}")
-        A = np.asarray(c["A"], dtype=float)
-        if A.shape != (dims[dst][0], dims[src][0]):
-            raise ScenarioError(f"ill-shaped matrix at {path}.A: {A.shape}, "
-                                f"expected ({dims[dst][0]}, {dims[src][0]})")
+        _check_coupling(c, f"{root}.couplings[{idx}]", dims)
     for sid, x0 in doc["simulation"]["x0"].items():
         if str(sid) not in dims:
             raise ScenarioError(f"unknown subsystem at {root}.simulation.x0.{sid}")
@@ -565,8 +576,8 @@ def cmd_plug(args) -> int:
     try:
         delta = _load_delta(args.delta, PLUG_SCHEMA)
         scenario, controllers, _ = load_bundle(args.bundle)
+        _check_plug_delta(delta, scenario)
         sdoc = dict(delta["add_subsystem"])
-        _check_weights(delta.get("controller", {}), "$.controller")
         if "controller" in delta:
             sdoc["controller"] = {**sdoc.get("controller", {}), **delta["controller"]}
         new_scenario = scenario_from_dict(_scenario_doc_with(
@@ -590,6 +601,28 @@ def cmd_plug(args) -> int:
                                  "outcomes": tx.outcomes}})
     print(f"bundle written to {args.out}")
     return EXIT_OK
+
+
+def _check_plug_delta(delta: dict, scenario: Scenario):
+    """Check a plug delta against the bundle's scenario, naming faults at
+    the delta's own JSON paths; weights the new subsystem inherits from the
+    scenario are named at the bundle's $.scenario.controller."""
+    sub = delta["add_subsystem"]
+    new_id = str(sub["id"])
+    if new_id in scenario.network.subsystems:
+        raise ScenarioError(f"schema violation at $.add_subsystem.id: {new_id!r} is in use")
+    n, m = _check_subsystem(sub, "$.add_subsystem")
+    weights = delta.get("controller", {})
+    _check_weights(weights, "$.controller", n, m)
+    own = {**sub.get("controller", {}), **weights}
+    _check_weights({k: v for k, v in scenario.doc["controller"].items() if k not in own},
+                   "$.scenario.controller", n, m)
+    dims = {i: (s.n, s.m) for i, s in scenario.network.subsystems.items()}
+    dims[new_id] = (n, m)
+    for idx, c in enumerate(delta.get("couplings", [])):
+        _check_coupling(c, f"$.couplings[{idx}]", dims)
+    if "x0" in delta and len(delta["x0"]) != n:
+        raise ScenarioError(f"ill-shaped vector at $.x0: expected length {n}")
 
 
 def _scenario_doc_with(doc: dict, new_sub: dict, new_coups: list, x0=None) -> dict:

@@ -1,9 +1,12 @@
 """Uniform LP/QP solver contracts used by every other module.
 
-Linear programs go to scipy's HiGHS backend. Quadratic programs take one
-path: the equalities are eliminated over their null space once per program,
-and each solve runs proximal-point outer steps, each one least-distance
-problem solved by `scipy.optimize.nnls` (Bemporad, IEEE TAC 2016 and 2018).
+Linear programs go to HiGHS (Huangfu & Hall 2018, dual simplex) in one
+call on CSC data, through the wrapper that scipy's linprog itself calls;
+the stacked constraint matrix is built once per program. Quadratic
+programs take one path: the equalities are eliminated over their null
+space once per program, and each solve runs proximal-point outer steps,
+each one least-distance problem solved by `scipy.optimize.nnls` (Bemporad,
+IEEE TAC 2016 and 2018).
 "infeasible" and "unbounded" come with a certificate checked on the
 original data; every other non-optimal outcome is a numerical failure.
 Both entry points are pure functions: identical inputs give identical outputs.
@@ -19,8 +22,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.optimize import linprog, nnls
+from scipy.optimize import _linprog_highs, nnls
+from scipy.optimize._highspy import _core as _highs
 
 log = logging.getLogger(__name__)
 
@@ -121,11 +126,17 @@ DEFAULT_LP_TOL = ToleranceConfig(feas_tol=1e-8, opt_tol=1e-8)
 DEFAULT_QP_TOL = ToleranceConfig(feas_tol=1e-8, opt_tol=1e-6)
 
 
-def _as_matrix(M, ncols: int | None, name: str) -> np.ndarray | None:
+def _as_matrix(M, ncols: int | None, name: str, sparse: bool = False):
+    """M as a float matrix, checked: a dense 2-d array, or a CSC array when
+    sparse input is allowed and M is a scipy.sparse matrix."""
     if M is None:
         return None
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if not np.all(np.isfinite(M)):
+    if sparse and sp.issparse(M):
+        M = sp.csc_array(M, dtype=float)
+        values = M.data
+    else:
+        M = values = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} contains non-finite entries")
     if ncols is not None and M.shape[1] != ncols:
         raise ValueError(f"{name} has {M.shape[1]} columns, expected {ncols}")
@@ -155,9 +166,9 @@ class _Constrained:
     lb: np.ndarray | None = None  # None means -inf for every variable
     ub: np.ndarray | None = None
 
-    def _coerce_constraints(self, n: int):
-        self.A_ub = _as_matrix(self.A_ub, n, "A_ub")
-        self.A_eq = _as_matrix(self.A_eq, n, "A_eq")
+    def _coerce_constraints(self, n: int, sparse: bool = False):
+        self.A_ub = _as_matrix(self.A_ub, n, "A_ub", sparse)
+        self.A_eq = _as_matrix(self.A_eq, n, "A_eq", sparse)
         self.b_ub = _as_vector(self.b_ub, None if self.A_ub is None else self.A_ub.shape[0], "b_ub")
         self.b_eq = _as_vector(self.b_eq, None if self.A_eq is None else self.A_eq.shape[0], "b_eq")
         if (self.A_ub is None) != (self.b_ub is None) or (self.A_eq is None) != (self.b_eq is None):
@@ -180,6 +191,10 @@ class _Constrained:
     def n_rows(self) -> int:
         return sum(A.shape[0] for A in (self.A_ub, self.A_eq) if A is not None)
 
+    def row_values(self, x) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(A_ub x, A_eq x), None for an absent block."""
+        return tuple(None if A is None else A @ x for A in (self.A_ub, self.A_eq))
+
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         lb = np.full(self.n, -np.inf) if self.lb is None else self.lb
         ub = np.full(self.n, np.inf) if self.ub is None else self.ub
@@ -188,17 +203,51 @@ class _Constrained:
 
 @dataclass
 class LinearProgram(_Constrained):
-    """min c'x subject to the constraint blocks."""
+    """min c'x subject to the constraint blocks.
+
+    A_ub and A_eq may be dense or scipy.sparse. They are stacked here, once,
+    into the one CSC matrix [A_ub; A_eq] that every solve hands to HiGHS;
+    copies made by `with_rhs` and `with_objective` share it.
+    """
 
     c: np.ndarray
 
     def __post_init__(self):
         self.c = _as_vector(self.c, None, "c")
-        self._coerce_constraints(self.n)
+        self._coerce_constraints(self.n, sparse=True)
+        self._rows = _stack_rows([A for A in (self.A_ub, self.A_eq) if A is not None], self.n)
 
     @property
     def n(self) -> int:
         return self.c.shape[0]
+
+    def with_objective(self, c, ub=None) -> "LinearProgram":
+        """A copy with a new objective and, when given, new upper bounds,
+        checked like the originals; the constraints are shared."""
+        p = copy.copy(self)
+        p.c = _as_vector(c, self.n, "c")
+        if ub is not None:
+            p.ub = _as_vector(ub, self.n, "ub", finite=False)
+        return p
+
+    def row_values(self, x) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(A_ub x, A_eq x) from the stacked matrix, so that a dense block and
+        its sparse form give the same bits."""
+        ax = self._rows @ x
+        n_ub = 0 if self.A_ub is None else self.A_ub.shape[0]
+        return (None if self.A_ub is None else ax[:n_ub],
+                None if self.A_eq is None else ax[n_ub:])
+
+
+def _stack_rows(blocks: list, n: int) -> sp.csc_array:
+    """The blocks stacked into one CSC matrix in canonical form: sorted row
+    indices, no duplicate and no stored zero, whatever form they came in."""
+    if not any(sp.issparse(A) for A in blocks):
+        return sp.csc_array(np.vstack([np.zeros((0, n)), *blocks]))
+    K = sp.vstack([sp.csc_array(A) for A in blocks], format="csc")
+    K.sum_duplicates()
+    K.eliminate_zeros()
+    return K
 
 
 @dataclass
@@ -250,73 +299,86 @@ class SolveReport:
 
 def _primal_residual(p, x) -> float:
     """Max constraint violation at x (0 when feasible)."""
+    ax_ub, ax_eq = p.row_values(x)
     viol = 0.0
-    if p.A_ub is not None:
-        viol = max(viol, float(np.max(p.A_ub @ x - p.b_ub, initial=0.0)))
-    if p.A_eq is not None:
-        viol = max(viol, float(np.max(np.abs(p.A_eq @ x - p.b_eq), initial=0.0)))
+    if ax_ub is not None:
+        viol = max(viol, float(np.max(ax_ub - p.b_ub, initial=0.0)))
+    if ax_eq is not None:
+        viol = max(viol, float(np.max(np.abs(ax_eq - p.b_eq), initial=0.0)))
     lb, ub = p.bounds_arrays()
     viol = max(viol, float(np.max(lb - x, initial=0.0)))
     viol = max(viol, float(np.max(x - ub, initial=0.0)))
     return viol
 
 
-_LINPROG_STATUS = {
-    0: STATUS_OPTIMAL,
-    1: STATUS_FAILURE,   # iteration limit
-    2: STATUS_INFEASIBLE,
-    3: STATUS_UNBOUNDED,
-    4: STATUS_FAILURE,
+#: HiGHS model statuses with a meaning here; every other one (a model error,
+#: "unbounded or infeasible", an iteration or time limit) is a numerical failure
+_HIGHS_STATUS = {
+    _highs.HighsModelStatus.kOptimal: STATUS_OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: STATUS_INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: STATUS_UNBOUNDED,
 }
+_NO_INTEGRALITY = np.zeros(0, dtype=np.uint8)
+_NO_ROWS = np.zeros(0)
 
 
 def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL) -> SolveReport:
-    """Solve a linear program with HiGHS.
+    """Solve a linear program with one HiGHS call on the stacked CSC matrix,
+    as lhs <= [A_ub; A_eq] x <= rhs, with the options scipy's
+    linprog(method="highs") sets.
 
     Optimal reports carry the primal point, objective, dual marginals and the
     measured feasibility residual. Infeasible/unbounded outcomes are reported
     explicitly, never silently.
     """
     lb, ub = p.bounds_arrays()
-    res = linprog(
-        p.c,
-        A_ub=p.A_ub,
-        b_ub=p.b_ub,
-        A_eq=p.A_eq,
-        b_eq=p.b_eq,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-        options={
-            "maxiter": tol.iter_cap(p.n, p.n_rows),
-            "primal_feasibility_tolerance": max(tol.feas_tol * 1e-1, 1e-10),
+    b_ub = _NO_ROWS if p.b_ub is None else p.b_ub
+    b_eq = _NO_ROWS if p.b_eq is None else p.b_eq
+    K = p._rows
+    cap = tol.iter_cap(p.n, p.n_rows)
+    # looked up at call time, where a tracer may have wrapped it
+    res = _linprog_highs._highs_wrapper(
+        p.c, K.indptr, K.indices, K.data,
+        np.concatenate([np.full(b_ub.size, -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
+        lb, ub, _NO_INTEGRALITY, {
+            "presolve": True,
+            "highs_debug_level": _highs.HighsDebugLevel.kHighsDebugLevelNone,
             "dual_feasibility_tolerance": max(tol.opt_tol * 1e-1, 1e-10),
-        },
-    )
-    status = _LINPROG_STATUS.get(res.status, STATUS_FAILURE)
+            "log_to_console": False,
+            "output_flag": False,
+            "primal_feasibility_tolerance": max(tol.feas_tol * 1e-1, 1e-10),
+            "simplex_strategy": _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+            "ipm_iteration_limit": cap,
+            "simplex_iteration_limit": cap,
+        })
+    status = _HIGHS_STATUS.get(res["status"], STATUS_FAILURE)
+    iterations = int(res.get("simplex_nit", 0) or res.get("ipm_nit", 0))
     if status != STATUS_OPTIMAL:
-        return SolveReport(status=status, iterations=int(res.nit), message=res.message)
+        return SolveReport(status=status, iterations=iterations,
+                           message=f"HiGHS: {res.get('message', '')}")
 
-    x = np.asarray(res.x, dtype=float)
+    x = np.asarray(res["x"], dtype=float)
     primal_res = _primal_residual(p, x)
     if primal_res > tol.feas_tol:
         return SolveReport(
             status=STATUS_FAILURE,
-            iterations=int(res.nit),
+            iterations=iterations,
             message=f"reported solution violates constraints by {primal_res:.3e}",
         )
+    lam = np.asarray(res["lambda"], dtype=float)
     duals = {
-        "ineq": None if res.ineqlin is None else np.asarray(res.ineqlin.marginals, dtype=float),
-        "eq": None if res.eqlin is None else np.asarray(res.eqlin.marginals, dtype=float),
-        "lower": np.asarray(res.lower.marginals, dtype=float),
-        "upper": np.asarray(res.upper.marginals, dtype=float),
+        "ineq": lam[:b_ub.size],
+        "eq": lam[b_ub.size:],
+        "lower": res["marg_bnds"][0],
+        "upper": res["marg_bnds"][1],
     }
     return SolveReport(
         status=STATUS_OPTIMAL,
         x=x,
-        objective=float(res.fun),
+        objective=float(res["fun"]),
         residuals={"primal": primal_res},
         duals=duals,
-        iterations=int(res.nit),
+        iterations=iterations,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import HPolytope, VAggregate, VPolytope, box_vertices
 from .model import Subsystem, controllability_index
@@ -106,6 +107,14 @@ def build_z0(W: VAggregate, omega: float, X: HPolytope) -> VPolytope:
     return VPolytope(verts)
 
 
+def _coo(entries, shape) -> sp.coo_array:
+    """A sparse matrix from (rows, cols, values) blocks, each broadcast to
+    one shape. No (row, col) pair may repeat."""
+    flat = [[a.ravel() for a in np.broadcast_arrays(*e)] for e in entries]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*flat))
+    return sp.coo_array((vals.astype(float), (rows, cols)), shape=shape)
+
+
 class ThetaProblem:
     """Index bookkeeping and assembly for the invariant-set feasibility LP.
 
@@ -134,114 +143,65 @@ class ThetaProblem:
         self.n_vars = self._base_gamma + self.g * k + 1
         self.alpha_idx = self.n_vars - 1
 
-    # -- variable index helpers (f is 0-based here) --
-    def z_idx(self, s: int, f: int) -> slice:
-        assert 1 <= s <= self.k
-        start = ((s - 1) * self.q + f) * self.n
-        return slice(start, start + self.n)
-
-    def u_idx(self, s: int, f: int) -> slice:
-        assert 0 <= s <= self.k - 1
-        start = self._base_u + (s * self.q + f) * self.m
-        return slice(start, start + self.m)
-
-    def rho_idx(self, f1: int, f2: int) -> int:
-        return self._base_rho + f1 * self.q + f2
-
-    def psi_idx(self, r: int, s: int) -> int:
-        return self._base_psi + r * self.k + s
-
-    def gamma_idx(self, r: int, s: int) -> int:
-        return self._base_gamma + r * self.k + s
-
     def build_lp(self, minimize_alpha: bool = False) -> LinearProgram:
-        n, m, k, q = self.n, self.m, self.k, self.q
+        """The feasibility LP, its blocks assembled as sparse COO triplets.
+
+        Equality rows, in order: the one-step chain z(s+1,f) = A z(s,f) +
+        B u(s,f) (z(0,f) is the seed vertex, so s = 0 has A z0(f) as rhs),
+        the fold-back z(k,f1) = sum_f2 rho(f1,f2) z0(f2), and the origin pins
+        of z(s,1) and u(s,1). Inequality rows: the folding budgets
+        sum_f2 rho(f1,f2) <= alpha; then, per input row r, the budget
+        sum_s psi(r,s) + alpha du(r) <= du(r) and its vertex rows
+        Cu(r) u(s,f) <= psi(r,s); then, per state row r, the same with gamma,
+        Cx(r) and z(s,f), the s = 0 rows bounding the seed vertices. Budgets
+        are strict, closed by STRICT_MARGIN.
+        """
+        n, m, k, q, g, l = self.n, self.m, self.k, self.q, self.g, self.l
         A, B = self.sub.A, self.sub.B
         Cx, dx = self.sub.X.C, self.sub.X.d
         Cu, du = self.sub.U.C, self.sub.U.d
         z0v = self.z0.vertices
-        N = self.n_vars
+        N, base_u = self.n_vars, self._base_u
+        ar = np.arange
+        i, j, f = ar(n), ar(m), ar(q)
+        # z(s,f)[i], s >= 1, is column ((s-1)q + f)n + i; u(s,f)[j] is base_u + (sq + f)m + j
+        sf = ar(k * q)[:, None, None]  # (s, f) of the chain rows, s = 0..k-1
+        fold, pins = k * q * n, (k + 1) * q * n
+        n_eq = pins + k * (n + m)
+        A_eq = _coo([
+            (ar(fold), ar(fold), 1.0),                                  # z(s+1,f)
+            (sf * n + i[:, None], base_u + sf * m + j, -B),              # -B u(s,f)
+            (sf[q:] * n + i[:, None], (sf[q:] - q) * n + i, -A),         # -A z(s,f), s >= 1
+            (fold + ar(q * n), (k - 1) * q * n + ar(q * n), 1.0),        # z(k,f1)
+            (fold + f[:, None, None] * n + i[:, None],                   # -z0(f2) rho(f1,f2)
+             self._base_rho + f[:, None, None] * q + f, -z0v.T),
+            (pins + ar(k * n).reshape(k, n), ar(k)[:, None] * q * n + i, 1.0),
+            (pins + k * n + ar(k * m).reshape(k, m), base_u + ar(k)[:, None] * q * m + j, 1.0),
+        ], (n_eq, N))
+        b_eq = np.concatenate([np.concatenate([A @ v for v in z0v]), np.zeros(n_eq - q * n)])
 
-        eq_rows, eq_rhs = [], []
-
-        def new_eq(count):
-            block = np.zeros((count, N))
-            eq_rows.append(block)
-            return block
-
-        # one-step chain: z(s+1,f) = A z(s,f) + B u(s,f)
-        for s in range(0, k):
-            for f in range(q):
-                blk = new_eq(n)
-                blk[:, self.z_idx(s + 1, f)] = np.eye(n)
-                blk[:, self.u_idx(s, f)] = -B
-                if s == 0:
-                    eq_rhs.append(A @ z0v[f])
-                else:
-                    blk[:, self.z_idx(s, f)] = -A
-                    eq_rhs.append(np.zeros(n))
-        # fold-back: z(k,f1) = sum_f2 rho(f1,f2) z0(f2)
-        for f1 in range(q):
-            blk = new_eq(n)
-            blk[:, self.z_idx(k, f1)] = np.eye(n)
-            for f2 in range(q):
-                blk[:, self.rho_idx(f1, f2)] = -z0v[f2]
-            eq_rhs.append(np.zeros(n))
-        # origin pins for vertex 1 of every block
-        for s in range(1, k + 1):
-            blk = new_eq(n)
-            blk[:, self.z_idx(s, 0)] = np.eye(n)
-            eq_rhs.append(np.zeros(n))
-        for s in range(0, k):
-            blk = new_eq(m)
-            blk[:, self.u_idx(s, 0)] = np.eye(m)
-            eq_rhs.append(np.zeros(m))
-
-        A_eq = np.vstack(eq_rows)
-        b_eq = np.concatenate(eq_rhs)
-
-        ub_rows, ub_rhs = [], []
-
-        def add_ub(row, rhs):
-            ub_rows.append(row)
-            ub_rhs.append(rhs)
-
-        # folding budget: sum_f2 rho(f1,f2) <= alpha
-        for f1 in range(q):
-            row = np.zeros(N)
-            for f2 in range(q):
-                row[self.rho_idx(f1, f2)] = 1.0
-            row[self.alpha_idx] = -1.0
-            add_ub(row, 0.0)
-        # input budget rows (strict, closed by the margin)
-        for r in range(self.l):
-            row = np.zeros(N)
-            for s in range(k):
-                row[self.psi_idx(r, s)] = 1.0
-            row[self.alpha_idx] = du[r]
-            add_ub(row, du[r] - STRICT_MARGIN)
-            for s in range(k):
-                for f in range(q):
-                    row = np.zeros(N)
-                    row[self.u_idx(s, f)] = Cu[r]
-                    row[self.psi_idx(r, s)] = -1.0
-                    add_ub(row, 0.0)
-        # state budget rows
-        for r in range(self.g):
-            row = np.zeros(N)
-            for s in range(k):
-                row[self.gamma_idx(r, s)] = 1.0
-            row[self.alpha_idx] = dx[r]
-            add_ub(row, dx[r] - STRICT_MARGIN)
-            for s in range(k):  # s counts the blocks entering the invariant sum
-                for f in range(q):
-                    row = np.zeros(N)
-                    row[self.gamma_idx(r, s)] = -1.0
-                    if s == 0:
-                        add_ub(row, -float(Cx[r] @ z0v[f]))
-                    else:
-                        row[self.z_idx(s, f)] = Cx[r]
-                        add_ub(row, 0.0)
+        per_row = 1 + k * q  # a budget row and its vertex rows
+        first_u, first_x = q, q + l * per_row
+        budget_u, budget_x = first_u + ar(l) * per_row, first_x + ar(g) * per_row
+        vertex_u = (budget_u + 1)[:, None, None] + ar(k * q).reshape(k, q)  # (r, s, f)
+        vertex_x = (budget_x + 1)[:, None, None] + ar(k * q).reshape(k, q)
+        entries = [(f[:, None], self._base_rho + f[:, None] * q + f, 1.0),  # rho(f1,f2)
+                   (f, self.alpha_idx, -1.0)]                                # -alpha
+        for budget, vertex, base, d in ((budget_u, vertex_u, self._base_psi, du),
+                                        (budget_x, vertex_x, self._base_gamma, dx)):
+            var = base + ar(budget.size)[:, None] * k + ar(k)  # psi(r,s) or gamma(r,s)
+            entries += [(budget[:, None], var, 1.0), (budget, self.alpha_idx, d),
+                        (vertex, var[:, :, None], -1.0)]
+        entries += [(vertex_u[..., None], base_u + ar(k * q).reshape(k, q, 1) * m + j,
+                     Cu[:, None, None, :]),                                  # Cu(r) u(s,f)
+                    (vertex_x[:, 1:, :, None], ar((k - 1) * q).reshape(k - 1, q, 1) * n + i,
+                     Cx[:, None, None, :])]                                  # Cx(r) z(s,f), s >= 1
+        n_ub = first_x + g * per_row
+        A_ub = _coo(entries, (n_ub, N))
+        b_ub = np.zeros(n_ub)
+        b_ub[budget_u] = du - STRICT_MARGIN
+        b_ub[budget_x] = dx - STRICT_MARGIN
+        b_ub[vertex_x[:, 0]] = [[-float(Cx[r] @ v) for v in z0v] for r in range(g)]
 
         lb = np.full(N, -np.inf)
         ub = np.full(N, np.inf)
@@ -252,25 +212,21 @@ class ThetaProblem:
         c = np.zeros(N)
         if minimize_alpha:
             c[self.alpha_idx] = 1.0
-        return LinearProgram(c, A_ub=np.vstack(ub_rows), b_ub=np.array(ub_rhs),
-                             A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
+        return LinearProgram(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
 
     def refinement_lp(self, base: LinearProgram, alpha_cap: float) -> LinearProgram:
         """Second, tie-breaking pass: keep alpha at or below the achieved value
         and minimize the normalized facet budgets, which upper-bound the
         support of the invariant set along every constraint row. Smaller
-        budgets mean a thinner tube and roomier tightened sets."""
+        budgets mean a thinner tube and roomier tightened sets. The copy
+        shares the constraint matrix of base."""
         c = np.zeros(self.n_vars)
-        for r in range(self.g):
-            for s in range(self.k):
-                c[self.gamma_idx(r, s)] = 1.0 / self.sub.X.d[r]
-        for r in range(self.l):
-            for s in range(self.k):
-                c[self.psi_idx(r, s)] = 1.0 / self.sub.U.d[r]
+        c[self._base_gamma:self._base_gamma + self.g * self.k] = np.repeat(1.0 / self.sub.X.d,
+                                                                           self.k)
+        c[self._base_psi:self._base_psi + self.l * self.k] = np.repeat(1.0 / self.sub.U.d, self.k)
         ub = base.ub.copy()
         ub[self.alpha_idx] = alpha_cap
-        return LinearProgram(c, A_ub=base.A_ub, b_ub=base.b_ub,
-                             A_eq=base.A_eq, b_eq=base.b_eq, lb=base.lb, ub=ub)
+        return base.with_objective(c, ub)
 
     def extract(self, x: np.ndarray):
         """Split a solution vector into alpha and the vertex/multiplier blocks."""
@@ -278,13 +234,10 @@ class ThetaProblem:
         alpha = float(x[self.alpha_idx])
         if alpha <= 0.0:  # the LP can report -0.0 or a tiny negative value
             alpha = 0.0
-        z_blocks = [self.z0.vertices.copy()]
-        for s in range(1, k):
-            z_blocks.append(np.vstack([x[self.z_idx(s, f)] for f in range(q)]))
-        z_terminal = np.vstack([x[self.z_idx(k, f)] for f in range(q)])
-        u_blocks = [np.vstack([x[self.u_idx(s, f)] for f in range(q)]) for s in range(k)]
-        rho = np.array([[x[self.rho_idx(f1, f2)] for f2 in range(q)] for f1 in range(q)])
-        return alpha, z_blocks, u_blocks, z_terminal, rho
+        z = x[:self._base_u].reshape(k, q, n).copy()  # z(s,f) for s = 1..k
+        u = x[self._base_u:self._base_rho].reshape(k, q, m).copy()
+        rho = x[self._base_rho:self._base_psi].reshape(q, q).copy()
+        return alpha, [self.z0.vertices.copy(), *z[:-1]], list(u), z[-1], rho
 
 
 @dataclass

@@ -435,6 +435,64 @@ def test_plug_rejects_weights_not_positive_definite(truck_paths, tmp_path, capsy
     assert not out.exists()
 
 
+def _third_truck(**changes) -> dict:
+    """A plug delta adding subsystem "3" behind "2", with changes applied."""
+    delta = {
+        "add_subsystem": {
+            "id": "3", "A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [1.0]],
+            "X": {"C": np.vstack([np.eye(2), -np.eye(2)]).tolist(), "d": [2.0, 2.0, 2.0, 2.0]},
+            "U": {"C": [[1.0], [-1.0]], "d": [1.0, 1.0]},
+        },
+        "couplings": [{"from": "2", "to": "3", "A": (0.01 * np.eye(2)).tolist()}],
+        "x0": [0.0, 0.0],
+    }
+    for path, value in changes.items():
+        *keys, last = path.split(".")
+        target = delta
+        for key in keys:
+            target = target[int(key)] if isinstance(target, list) else target[key]
+        target[last] = value
+    return delta
+
+
+@pytest.mark.parametrize("changes, path", [
+    ({"add_subsystem.X": {"C": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], "d": [2.0, 2.0, 2.0]}},
+     "unbounded set at $.add_subsystem.X"),
+    ({"add_subsystem.B": [[0.0], [1.0], [0.0]]}, "ill-shaped matrix at $.add_subsystem.B"),
+    ({"add_subsystem.controller": {"R": [[1.0, 0.0], [0.0, 1.0]]}},
+     "ill-shaped matrix at $.add_subsystem.controller.R"),
+    ({"controller": {"Q": [[1.0]]}}, "ill-shaped matrix at $.controller.Q"),
+    ({"add_subsystem.id": "2"}, "schema violation at $.add_subsystem.id"),
+    ({"couplings.0.A": [[0.1]]}, "ill-shaped matrix at $.couplings[0].A"),
+    ({"couplings.0.from": "9"}, "unknown subsystem reference at $.couplings[0]"),
+    ({"x0": [0.0, 0.0, 0.0]}, "ill-shaped vector at $.x0"),
+])
+def test_plug_delta_faults_name_the_delta_path(truck_paths, tmp_path, capsys, changes, path):
+    _, bundle_path = truck_paths
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(_third_truck(**changes)))
+    out = tmp_path / "out.json"
+    assert main(["plug", str(dpath), str(bundle_path), "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+    assert "$.subsystems" not in err and "simulation" not in err
+    assert not out.exists()
+
+
+def test_plug_delta_checked_against_inherited_weights(truck_paths, tmp_path, capsys):
+    # the trucks' scenario-wide Q is 2 x 2: a 3-state subsystem cannot inherit it
+    _, bundle_path = truck_paths
+    delta = _third_truck(**{"add_subsystem.A": np.eye(3).tolist(),
+                            "add_subsystem.B": [[0.0], [0.0], [1.0]],
+                            "add_subsystem.X": {"C": np.vstack([np.eye(3), -np.eye(3)]).tolist(),
+                                                "d": [2.0] * 6},
+                            "couplings": [], "x0": [0.0, 0.0, 0.0]})
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(delta))
+    assert main(["plug", str(dpath), str(bundle_path), "-o", str(tmp_path / "o.json")]) == EXIT_USAGE
+    assert "at $.scenario.controller.Q" in capsys.readouterr().err
+
+
 def test_plug_rejected_keeps_bundle_unchanged(truck_paths, tmp_path, capsys):
     scenario_path, bundle_path = truck_paths
     before = bundle_path.read_text()

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import _linprog, _linprog_highs
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from tubenet import optim
 from tubenet.optim import (
@@ -100,6 +103,38 @@ def test_lp_weak_duality_certificate():
         r = solve_lp(p)
         assert r.optimal
         assert lp_dual_objective(p, r) == pytest.approx(r.objective, abs=1e-7, rel=1e-7)
+
+
+@pytest.mark.parametrize("model_status", ["kModelError", "kUnboundedOrInfeasible",
+                                          "kIterationLimit", "kTimeLimit", "kNotset"])
+def test_lp_other_highs_statuses_are_numerical_failures(monkeypatch, model_status):
+    # only kOptimal, kInfeasible and kUnbounded have a meaning of their own
+    status = getattr(HighsModelStatus, model_status)
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper",
+                        lambda *args: {"status": status, "message": model_status})
+    r = solve_lp(LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[1.0], lb=[0.0]))
+    assert r.status == "numerical-failure" and r.x is None
+
+
+def test_solve_lp_is_one_highs_call_and_no_linprog(monkeypatch):
+    calls = []
+    wrapper = _linprog_highs._highs_wrapper
+
+    def spy(*args):
+        calls.append(args)
+        return wrapper(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linprog was called")
+
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
+    monkeypatch.setattr(_linprog, "_parse_linprog", forbidden)  # linprog's first step
+    monkeypatch.setattr(_linprog, "_linprog_highs", forbidden)
+    r = solve_lp(LinearProgram(c=[-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+                               A_eq=[[1.0, -1.0]], b_eq=[0.0], lb=[0.0, 0.0]))
+    assert r.optimal and np.allclose(r.x, [0.5, 0.5])
+    assert len(calls) == 1
+    assert "linprog" not in vars(optim)
 
 
 def test_lp_objective_scaling_keeps_argmin_optimal():
@@ -373,6 +408,54 @@ def test_qp_property_infeasible_points_are_certified(seed, n, rank, n_eq, n_ub, 
     rep = solve_qp(p)
     assert rep.status == "infeasible", rep.message
     assert _farkas_holds(p, rep)
+
+
+def _random_lp(seed, n, m, n_eq):
+    """The random LPs of the weak-duality test: rows around a known interior
+    point, finite bounds; here with about a third of the entries zeroed and
+    equality rows through that point."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) > 0.3)
+    E = rng.normal(size=(n_eq, n)) * (rng.random((n_eq, n)) > 0.3)
+    x_feas = rng.uniform(-1, 1, size=n)
+    return dict(c=rng.normal(size=n),
+                A_ub=A if m else None, b_ub=A @ x_feas + rng.uniform(0.1, 1.0, size=m) if m else None,
+                A_eq=E if n_eq else None, b_eq=E @ x_feas if n_eq else None,
+                lb=-3 * np.ones(n), ub=3 * np.ones(n))
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal bit for bit: arrays (or None) and floats."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(0, 7),
+       n_eq=st.integers(0, 2))
+def test_lp_property_sparse_input_gives_the_same_report(seed, n, m, n_eq):
+    data = _random_lp(seed, n, m, n_eq)
+    csc = {key: None if data[key] is None else sp.csc_array(data[key]) for key in ("A_ub", "A_eq")}
+    dense, sparse = solve_lp(LinearProgram(**data)), solve_lp(LinearProgram(**{**data, **csc}))
+    assert dense.optimal, dense.message
+    assert (dense.status, dense.iterations, dense.message) == (sparse.status, sparse.iterations,
+                                                               sparse.message)
+    assert _bitwise_equal(dense.x, sparse.x) and _bitwise_equal(dense.objective, sparse.objective)
+    assert dense.residuals.keys() == sparse.residuals.keys()
+    assert all(_bitwise_equal(dense.residuals[k], sparse.residuals[k]) for k in dense.residuals)
+    assert dense.duals.keys() == sparse.duals.keys() == {"ineq", "eq", "lower", "upper"}
+    assert all(_bitwise_equal(dense.duals[k], sparse.duals[k]) for k in dense.duals)
+
+
+def test_lp_sparse_input_is_checked():
+    with pytest.raises(ValueError, match="non-finite"):
+        LinearProgram(c=[1.0], A_ub=sp.csc_array([[np.inf]]), b_ub=[1.0])
+    with pytest.raises(ValueError, match="columns"):
+        LinearProgram(c=[1.0], A_eq=sp.csc_array(np.ones((1, 2))), b_eq=[1.0])
+    with pytest.raises(ValueError):  # QPs take dense blocks only
+        QuadraticProgram(P=np.eye(1), q=[0.0], A_ub=sp.csc_array([[1.0]]), b_ub=[1.0])
 
 
 def test_iteration_cap_config():

@@ -3,7 +3,7 @@ import pytest
 
 from tubenet.geometry import HPolytope, VAggregate, VPolytope, box_vertices, member_aggregate
 from tubenet.model import Coupling, Network, Subsystem, disturbance_set
-from tubenet.optim import solve_lp
+from tubenet.optim import STRICT_MARGIN, solve_lp
 from tubenet.rci import (
     DesignError,
     DesignFailure,
@@ -187,3 +187,157 @@ def test_design_failure_is_not_truthy():
     f = DesignFailure("x", "reason")
     with pytest.raises(TypeError):
         bool(f)
+
+
+# ------------------------------------------------------- sparse LP assembly
+
+def _dense_theta_lp(p: ThetaProblem, minimize_alpha: bool = False):
+    """Reference assembly of the feasibility LP, row by row into dense
+    matrices: (c, A_ub, b_ub, A_eq, b_eq, lb, ub)."""
+    n, m, k, q = p.n, p.m, p.k, p.q
+    A, B = p.sub.A, p.sub.B
+    Cx, dx = p.sub.X.C, p.sub.X.d
+    Cu, du = p.sub.U.C, p.sub.U.d
+    z0v = p.z0.vertices
+    N = p.n_vars
+
+    def z_idx(s, f):  # z(s,f), s = 1..k; f is 0-based
+        start = ((s - 1) * q + f) * n
+        return slice(start, start + n)
+
+    def u_idx(s, f):  # u(s,f), s = 0..k-1
+        start = p._base_u + (s * q + f) * m
+        return slice(start, start + m)
+
+    def rho_idx(f1, f2):
+        return p._base_rho + f1 * q + f2
+
+    def psi_idx(r, s):
+        return p._base_psi + r * k + s
+
+    def gamma_idx(r, s):
+        return p._base_gamma + r * k + s
+
+    eq_rows, eq_rhs = [], []
+
+    def new_eq(count):
+        block = np.zeros((count, N))
+        eq_rows.append(block)
+        return block
+
+    for s in range(0, k):
+        for f in range(q):
+            blk = new_eq(n)
+            blk[:, z_idx(s + 1, f)] = np.eye(n)
+            blk[:, u_idx(s, f)] = -B
+            if s == 0:
+                eq_rhs.append(A @ z0v[f])
+            else:
+                blk[:, z_idx(s, f)] = -A
+                eq_rhs.append(np.zeros(n))
+    for f1 in range(q):
+        blk = new_eq(n)
+        blk[:, z_idx(k, f1)] = np.eye(n)
+        for f2 in range(q):
+            blk[:, rho_idx(f1, f2)] = -z0v[f2]
+        eq_rhs.append(np.zeros(n))
+    for s in range(1, k + 1):
+        blk = new_eq(n)
+        blk[:, z_idx(s, 0)] = np.eye(n)
+        eq_rhs.append(np.zeros(n))
+    for s in range(0, k):
+        blk = new_eq(m)
+        blk[:, u_idx(s, 0)] = np.eye(m)
+        eq_rhs.append(np.zeros(m))
+
+    ub_rows, ub_rhs = [], []
+
+    def add_ub(row, rhs):
+        ub_rows.append(row)
+        ub_rhs.append(rhs)
+
+    for f1 in range(q):
+        row = np.zeros(N)
+        for f2 in range(q):
+            row[rho_idx(f1, f2)] = 1.0
+        row[p.alpha_idx] = -1.0
+        add_ub(row, 0.0)
+    for r in range(p.l):
+        row = np.zeros(N)
+        for s in range(k):
+            row[psi_idx(r, s)] = 1.0
+        row[p.alpha_idx] = du[r]
+        add_ub(row, du[r] - STRICT_MARGIN)
+        for s in range(k):
+            for f in range(q):
+                row = np.zeros(N)
+                row[u_idx(s, f)] = Cu[r]
+                row[psi_idx(r, s)] = -1.0
+                add_ub(row, 0.0)
+    for r in range(p.g):
+        row = np.zeros(N)
+        for s in range(k):
+            row[gamma_idx(r, s)] = 1.0
+        row[p.alpha_idx] = dx[r]
+        add_ub(row, dx[r] - STRICT_MARGIN)
+        for s in range(k):
+            for f in range(q):
+                row = np.zeros(N)
+                row[gamma_idx(r, s)] = -1.0
+                if s == 0:
+                    add_ub(row, -float(Cx[r] @ z0v[f]))
+                else:
+                    row[z_idx(s, f)] = Cx[r]
+                    add_ub(row, 0.0)
+
+    lb = np.full(N, -np.inf)
+    ub = np.full(N, np.inf)
+    lb[p._base_rho:p._base_rho + q * q] = 0.0
+    lb[p.alpha_idx] = 0.0
+    ub[p.alpha_idx] = 1.0 - STRICT_MARGIN
+    c = np.zeros(N)
+    if minimize_alpha:
+        c[p.alpha_idx] = 1.0
+    return (c, np.vstack(ub_rows), np.array(ub_rhs), np.vstack(eq_rows),
+            np.concatenate(eq_rhs), lb, ub)
+
+
+def _theta_cases():
+    """(label, subsystem, W) of the trucks, the 4-area grid and a 2x2 mass
+    network, plus a two-input subsystem."""
+    from tubenet.cli import scenario_from_dict
+    from tubenet.scenarios import mass_scenario, power_scenario, truck_scenario
+
+    for name, doc in (("truck", truck_scenario()), ("power4", power_scenario()),
+                      ("mass", mass_scenario(2, 2, seed=1))):
+        net = scenario_from_dict(doc).network
+        for i in net.ids:
+            yield f"{name}-{i}", net.subsystems[i], disturbance_set(net, i)
+    two_inputs = Subsystem("m2", [[1.0, 0.1], [0.0, 1.0]], [[0.5, 0.0], [0.1, 1.0]],
+                           HPolytope.symmetric_box([2.0, 1.5]), HPolytope.symmetric_box([1.0, 0.7]))
+    yield "two-inputs", two_inputs, VAggregate([VPolytope(box_vertices([-0.05, -0.02],
+                                                                       [0.05, 0.02]))], 1.0)
+
+
+@pytest.mark.parametrize("minimize_alpha", [False, True])
+def test_sparse_theta_lp_matches_dense_reference(minimize_alpha):
+    from tubenet.model import controllability_index
+
+    seen_m = set()
+    for label, sub, W in _theta_cases():
+        z0 = build_z0(W, default_omega(W, sub.X), sub.X)
+        ci = controllability_index(sub.A, sub.B)
+        for k in (ci, ci + 2):
+            p = ThetaProblem(sub, z0, k)
+            lp = p.build_lp(minimize_alpha)
+            c, A_ub, b_ub, A_eq, b_eq, lb, ub = _dense_theta_lp(p, minimize_alpha)
+            got = (lp.c, lp.A_ub.toarray(), lp.b_ub, lp.A_eq.toarray(), lp.b_eq, lp.lb, lp.ub)
+            for name, a, b in zip(("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub"), got,
+                                  (c, A_ub, b_ub, A_eq, b_eq, lb, ub)):
+                assert a.shape == b.shape and np.array_equal(a, b), f"{label} k={k}: {name}"
+            # the stacked matrix holds exactly the nonzeros of [A_ub; A_eq]
+            assert lp._rows.nnz == np.count_nonzero(A_ub) + np.count_nonzero(A_eq)
+            refined = p.refinement_lp(lp, 0.5)
+            assert refined._rows is lp._rows and refined.ub[p.alpha_idx] == 0.5
+            seen_m.add(sub.m)
+    assert seen_m == {1, 2}
