@@ -344,8 +344,27 @@ def box_vertices(lo, hi) -> np.ndarray:
     return np.array(corners)
 
 
+def _box_bounds(X: HPolytope) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lo, hi) when every row of X bounds one coordinate and the box they
+    make is bounded with a nonempty interior, else None."""
+    rows, cols = np.nonzero(X.C)
+    if rows.size != X.n_rows:
+        return None
+    coef = X.C[rows, cols]
+    bound = X.d[rows] / coef
+    lo, hi = np.full(X.n, -np.inf), np.full(X.n, np.inf)
+    np.maximum.at(lo, cols[coef < 0], bound[coef < 0])
+    np.minimum.at(hi, cols[coef > 0], bound[coef > 0])
+    # the Chebyshev radius of a box is half its narrowest width
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi - lo > 2e-12)):
+        return None
+    return lo, hi
+
+
 def vertices_of(X: HPolytope) -> VPolytope:
-    """Vertex enumeration for dimensions <= 3 (scenario ingestion only)."""
+    """Vertex enumeration for dimensions <= 3 (scenario ingestion only): in
+    closed form for a box, else by qhull from the Chebyshev center. Vertices
+    come in lexicographic order either way."""
     if X.n == 1:
         ub = np.inf
         lb = -np.inf
@@ -361,6 +380,9 @@ def vertices_of(X: HPolytope) -> VPolytope:
         raise GeometryError(
             "vertex enumeration is only supported up to dimension 3; "
             "supply explicit vertices for higher-dimensional sets")
+    box = _box_bounds(X)
+    if box is not None:
+        return VPolytope(box_vertices(*box))
     from scipy.spatial import HalfspaceIntersection
 
     center, radius = X.chebyshev_center()

@@ -243,7 +243,12 @@ def _stack_rows(blocks: list, n: int) -> sp.csc_array:
     """The blocks stacked into one CSC matrix in canonical form: sorted row
     indices, no duplicate and no stored zero, whatever form they came in."""
     if not any(sp.issparse(A) for A in blocks):
-        return sp.csc_array(np.vstack([np.zeros((0, n)), *blocks]))
+        # by numpy, which takes a third of the time of sp.csc_array(dense)
+        D = np.vstack([np.zeros((0, n)), *blocks])
+        cols, rows = np.nonzero(D.T)  # column-major, rows sorted in each column
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(D, axis=0), out=indptr[1:])
+        return sp.csc_array((D[rows, cols], rows.astype(np.int32), indptr), shape=D.shape)
     K = sp.vstack([sp.csc_array(A) for A in blocks], format="csc")
     K.sum_duplicates()
     K.eliminate_zeros()
@@ -324,8 +329,12 @@ _NO_ROWS = np.zeros(0)
 
 def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL) -> SolveReport:
     """Solve a linear program with one HiGHS call on the stacked CSC matrix,
-    as lhs <= [A_ub; A_eq] x <= rhs, with the options scipy's
-    linprog(method="highs") sets.
+    as lhs <= [A_ub; A_eq] x <= rhs. Of the options scipy's
+    linprog(method="highs") sets, only those that differ from the HiGHS
+    defaults are passed: the wrapper checks each one at a cost. The debug
+    level (0) and the dual simplex (strategy 1) are the defaults, and
+    output_flag=False silences the console log too; `presolve=True` means
+    "on", where the default is "choose".
 
     Optimal reports carry the primal point, objective, dual marginals and the
     measured feasibility residual. Infeasible/unbounded outcomes are reported
@@ -342,12 +351,9 @@ def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL) -> SolveRe
         np.concatenate([np.full(b_ub.size, -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
         lb, ub, _NO_INTEGRALITY, {
             "presolve": True,
-            "highs_debug_level": _highs.HighsDebugLevel.kHighsDebugLevelNone,
             "dual_feasibility_tolerance": max(tol.opt_tol * 1e-1, 1e-10),
-            "log_to_console": False,
             "output_flag": False,
             "primal_feasibility_tolerance": max(tol.feas_tol * 1e-1, 1e-10),
-            "simplex_strategy": _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
             "ipm_iteration_limit": cap,
             "simplex_iteration_limit": cap,
         })

@@ -5,6 +5,9 @@ blocks: block 0 is a fixed box seeded around the coupling disturbance, blocks
 1..k-1 are decision variables chained by the one-step dynamics, and the k-th
 block must fold back into alpha times block 0. Feasibility of the resulting
 LP certifies invariance; everything downstream reuses the vertex blocks.
+When alpha is minimized and its minimum is 0, one LP per subsystem does the
+whole design: the thin-tube tie-break solved at alpha = 0. Otherwise two run:
+min alpha, then the tie-break at the achieved alpha.
 """
 
 from __future__ import annotations
@@ -215,11 +218,14 @@ class ThetaProblem:
         return LinearProgram(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
 
     def refinement_lp(self, base: LinearProgram, alpha_cap: float) -> LinearProgram:
-        """Second, tie-breaking pass: keep alpha at or below the achieved value
-        and minimize the normalized facet budgets, which upper-bound the
-        support of the invariant set along every constraint row. Smaller
-        budgets mean a thinner tube and roomier tightened sets. The copy
-        shares the constraint matrix of base."""
+        """Tie-breaking pass: keep alpha at or below alpha_cap and minimize
+        the normalized facet budgets, which upper-bound the support of the
+        invariant set along every constraint row. Smaller budgets mean a
+        thinner tube and roomier tightened sets. With alpha_cap = 0 it is
+        the whole design when it is feasible (alpha >= 0 is a bound, so its
+        optimum also minimizes alpha); otherwise it follows a solved min
+        alpha at the achieved value. The copy shares the constraint matrix
+        of base."""
         c = np.zeros(self.n_vars)
         c[self._base_gamma:self._base_gamma + self.g * self.k] = np.repeat(1.0 / self.sub.X.d,
                                                                            self.k)
@@ -285,7 +291,14 @@ class RciDesign:
 def synthesize_rci_from_w(sub: Subsystem, W: VAggregate,
                           cfg: RciConfig | None = None) -> RciDesign | DesignFailure:
     """Run the design for a given coupling-disturbance set (design locality:
-    only predecessor data enters through W)."""
+    only predecessor data enters through W).
+
+    For each k from the controllability index on (cfg.retries more on
+    failure): with cfg.minimize_alpha, the tie-break LP at alpha = 0 comes
+    first, and when it is optimal it is the design, in one LP. Otherwise the
+    feasibility LP (min alpha with cfg.minimize_alpha) runs, and the
+    tie-break at its alpha refines it. The failure reason names the status of
+    the last feasibility LP."""
     cfg = cfg or RciConfig()
     try:
         cfg.validate(sub)
@@ -302,14 +315,18 @@ def synthesize_rci_from_w(sub: Subsystem, W: VAggregate,
         attempted.append(k)
         problem = ThetaProblem(sub, z0, k)
         lp = problem.build_lp(minimize_alpha=cfg.minimize_alpha)
-        rep = solve_lp(lp, THETA_TOL)
-        last = rep
-        if not rep.optimal:
-            continue
-        # tie-break: among parametrizations with this alpha, pick a thin tube
-        refined = solve_lp(problem.refinement_lp(lp, float(rep.x[problem.alpha_idx])), THETA_TOL)
-        if refined.optimal:
-            rep = refined
+        # alpha >= 0 is a bound, so a thin-tube LP that is optimal at alpha = 0
+        # proves min alpha = 0 and is the tie-break the two passes would solve
+        rep = solve_lp(problem.refinement_lp(lp, 0.0), THETA_TOL) if cfg.minimize_alpha else None
+        if rep is None or not rep.optimal:
+            rep = last = solve_lp(lp, THETA_TOL)
+            if not rep.optimal:
+                continue
+            # tie-break: among parametrizations with this alpha, pick a thin tube
+            refined = solve_lp(problem.refinement_lp(lp, float(rep.x[problem.alpha_idx])),
+                               THETA_TOL)
+            if refined.optimal:
+                rep = refined
         alpha, z_blocks, u_blocks, z_term, rho = problem.extract(rep.x)
         design = RciDesign(sub.id, alpha, k, problem.q, omega, z_blocks, u_blocks,
                            z0, W, z_term, rho, sub.A.copy(), sub.B.copy())

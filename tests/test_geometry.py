@@ -8,6 +8,7 @@ from util_geom import (
     random_2d_polytope,
 )
 
+from tubenet import geometry
 from tubenet.geometry import (
     GeometryError,
     HPolytope,
@@ -333,6 +334,62 @@ def test_vertices_of_interval():
     X = HPolytope([[2.0], [-1.0]], [4.0, 1.0])
     V = vertices_of(X)
     assert np.allclose(sorted(V.vertices[:, 0]), [-1.0, 2.0])
+
+
+def _qhull_vertices(monkeypatch, X):
+    """vertices_of(X) forced through the Chebyshev center and qhull."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_box_bounds", lambda X: None)
+        return vertices_of(X).vertices
+
+
+def test_vertices_of_box_matches_qhull_in_closed_form(monkeypatch):
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(2, 4))
+        lo = rng.uniform(-3.0, 0.5, n)
+        hi = lo + rng.uniform(0.01, 4.0, n)
+        eye = np.eye(n)
+        scale = rng.uniform(0.2, 5.0, 2 * n)  # rows like 2x <= 3
+        C, d = np.vstack([eye, -eye]) * scale[:, None], np.concatenate([hi, -lo]) * scale
+        if trial % 2:  # duplicate and redundant rows
+            C, d = np.vstack([C, C[:2], eye[:1]]), np.concatenate([d, d[:2], hi[:1] + 1.0])
+        order = rng.permutation(C.shape[0])
+        X = HPolytope(C[order], d[order])
+        boxed = vertices_of(X).vertices
+        assert np.allclose(boxed, box_vertices(lo, hi), rtol=0.0, atol=1e-12)
+        # qhull's coordinates carry rounding noise that can swap two vertices
+        # whose coordinates tie; ties are read at 9 decimals, as vertices_of
+        # reads duplicates
+        hulled = _qhull_vertices(monkeypatch, X)
+        hulled = hulled[np.lexsort(np.round(hulled, 9).T[::-1])]
+        assert boxed.shape == hulled.shape
+        assert np.allclose(boxed, hulled, rtol=0.0, atol=1e-12)
+
+
+def test_vertices_of_box_closed_form_runs_no_lp(monkeypatch):
+    calls = []
+    center = HPolytope.chebyshev_center
+    monkeypatch.setattr(HPolytope, "chebyshev_center",
+                        lambda self: calls.append(self) or center(self))
+    vertices_of(HPolytope([[2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                          [3.0, 1.0, 1.0, 1.0]))
+    assert calls == []
+    # a hexagon is no box: it goes through qhull
+    angles = np.arange(6) * np.pi / 3
+    hexagon = HPolytope(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(6))
+    V = vertices_of(hexagon)
+    assert len(calls) == 1 and V.n_vertices == 6
+    assert np.allclose(np.linalg.norm(V.vertices, axis=1), 1.0 / np.cos(np.pi / 6))
+
+
+def test_vertices_of_degenerate_boxes_keep_their_errors():
+    # unbounded and flat boxes fall through to the qhull path and its errors
+    slab = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0])
+    flat = HPolytope.box([-1.0, 0.5], [1.0, 0.5])
+    assert geometry._box_bounds(slab) is None and geometry._box_bounds(flat) is None
+    with pytest.raises(GeometryError, match="empty interior"):
+        vertices_of(flat)
 
 
 def test_vertices_of_dimension_guard():

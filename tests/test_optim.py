@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import _linprog, _linprog_highs
+from scipy.optimize._highspy import _core as _highs
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from tubenet import optim
@@ -456,6 +457,59 @@ def test_lp_sparse_input_is_checked():
         LinearProgram(c=[1.0], A_eq=sp.csc_array(np.ones((1, 2))), b_eq=[1.0])
     with pytest.raises(ValueError):  # QPs take dense blocks only
         QuadraticProgram(P=np.eye(1), q=[0.0], A_ub=sp.csc_array([[1.0]]), b_ub=[1.0])
+
+
+def test_lp_passes_only_options_that_differ_from_the_highs_defaults(monkeypatch, capfd):
+    # solve_lp leaves the debug level, the simplex strategy and the console
+    # log at their HiGHS defaults; a HiGHS that changes one must fail here
+    h = _highs._Highs()
+    defaults = {key: h.getOptionValue(key) for key in
+                ("highs_debug_level", "simplex_strategy", "presolve", "log_to_console")}
+    assert all(status == _highs.HighsStatus.kOk for status, _ in defaults.values())
+    assert defaults["highs_debug_level"][1] == 0
+    dual = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    assert defaults["simplex_strategy"][1] == dual
+    assert defaults["presolve"][1] == "choose"  # so presolve=True ("on") is passed
+
+    seen = []
+    wrapper = _linprog_highs._highs_wrapper
+
+    def spy(*args):
+        seen.append(args[-1])
+        return wrapper(*args)
+
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
+    capfd.readouterr()
+    assert solve_lp(LinearProgram(c=[1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                                  lb=[0.0, 0.0])).optimal
+    assert solve_lp(LinearProgram(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[0.0, -1.0])).status \
+        == "infeasible"
+    assert capfd.readouterr() == ("", "")  # output_flag=False silences the console log
+    assert all(set(options) == {"presolve", "output_flag", "primal_feasibility_tolerance",
+                                "dual_feasibility_tolerance", "ipm_iteration_limit",
+                                "simplex_iteration_limit"} for options in seen)
+    assert all(options["presolve"] is True and options["output_flag"] is False
+               for options in seen)
+
+
+def test_dense_blocks_stack_into_scipys_canonical_csc():
+    rng = np.random.default_rng(5)
+    blocks = [rng.normal(size=shape) * (rng.random(shape) < 0.4)
+              for shape in ((4, 2), (7, 5), (1, 9), (12, 3), (6, 6))]
+    blocks += [np.zeros((3, 4)), np.zeros((0, 4)), np.ones((2, 1))]
+    for A in blocks:
+        n = A.shape[1]
+        stacked = {"one block": (LinearProgram(np.zeros(n), A_ub=A, b_ub=np.ones(A.shape[0])), A),
+                   "two blocks": (LinearProgram(np.zeros(n), A_ub=A, b_ub=np.ones(A.shape[0]),
+                                                A_eq=A[::-1], b_eq=np.ones(A.shape[0])),
+                                  np.vstack([A, A[::-1]]))}
+        for label, (p, dense) in stacked.items():
+            got, want = p._rows, sp.csc_array(dense)
+            assert got.shape == want.shape, label
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (A.shape, label, part)
+            assert got.has_sorted_indices and np.all(got.data != 0)
 
 
 def test_iteration_cap_config():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tubenet.geometry import HPolytope, VAggregate, VPolytope, box_vertices, member_aggregate
-from tubenet.model import Coupling, Network, Subsystem, disturbance_set
-from tubenet.optim import STRICT_MARGIN, solve_lp
+from tubenet import rci
+from tubenet.model import Coupling, Network, Subsystem, controllability_index, disturbance_set
+from tubenet.optim import STRICT_MARGIN, SolveReport, solve_lp
 from tubenet.rci import (
+    THETA_TOL,
     DesignError,
     DesignFailure,
     RciConfig,
@@ -187,6 +189,128 @@ def test_design_failure_is_not_truthy():
     f = DesignFailure("x", "reason")
     with pytest.raises(TypeError):
         bool(f)
+
+
+# ------------------------------------------------ one LP when alpha* = 0
+
+def two_pass_reference(sub, W, cfg):
+    """The design by two explicit passes on the same ThetaProblem: min
+    alpha, then the tie-break at the alpha it reached. (alpha, z_blocks,
+    u_blocks, z_terminal, rho)."""
+    omega = cfg.omega if cfg.omega is not None else default_omega(W, sub.X)
+    problem = ThetaProblem(sub, build_z0(W, omega, sub.X),
+                           max(cfg.k or 0, controllability_index(sub.A, sub.B)))
+    lp = problem.build_lp(minimize_alpha=True)
+    first = solve_lp(lp, THETA_TOL)
+    refined = solve_lp(problem.refinement_lp(lp, float(first.x[problem.alpha_idx])), THETA_TOL)
+    assert first.optimal and refined.optimal
+    return problem.extract(refined.x)
+
+
+def assert_design_is(design, reference):
+    alpha, z_blocks, u_blocks, z_terminal, rho = reference
+    assert design.alpha == alpha
+    assert len(design.z_blocks) == len(z_blocks) and len(design.u_blocks) == len(u_blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(design.z_blocks, z_blocks))
+    assert all(np.array_equal(a, b) for a, b in zip(design.u_blocks, u_blocks))
+    assert np.array_equal(design.z_terminal, z_terminal) and np.array_equal(design.rho, rho)
+
+
+def alpha_star_positive():
+    """A stable scalar subsystem whose input bound is too small to cancel
+    the drift of the seed in one step: min alpha is about 0.19."""
+    sub = Subsystem("s", [[0.5]], [[1.0]], HPolytope.symmetric_box([1.0]),
+                    HPolytope.symmetric_box([0.08]))
+    return sub, VAggregate([VPolytope([[-0.2], [0.2]])], 1.0)
+
+
+def count_lps(monkeypatch):
+    calls = []
+    solve = rci.solve_lp
+    monkeypatch.setattr(rci, "solve_lp", lambda *a: calls.append(a) or solve(*a))
+    return calls
+
+
+def test_one_lp_design_equals_the_two_pass_design(monkeypatch):
+    from tubenet.cli import scenario_from_dict
+    from tubenet.scenarios import mass_scenario, power_scenario, truck_scenario
+
+    calls = count_lps(monkeypatch)
+    cases = [("truck", truck_scenario(), ("1", "2")), ("power4", power_scenario(), None),
+             ("mass", mass_scenario(4, 4, seed=5), ("1", "16"))]
+    checked = 0
+    for name, doc, ids in cases:
+        scenario = scenario_from_dict(doc)
+        net = scenario.network
+        for i in ids or net.ids:
+            sub, W, cfg = net.subsystems[i], disturbance_set(net, i), scenario.rci_config(i)
+            assert cfg.minimize_alpha
+            calls.clear()
+            design = synthesize_rci_from_w(sub, W, cfg)
+            assert not isinstance(design, DesignFailure), (name, i, design)
+            assert len(calls) == 1 and design.alpha == 0.0, (name, i)
+            assert_design_is(design, two_pass_reference(sub, W, cfg))
+            checked += 1
+    assert checked == 8
+
+
+def test_positive_alpha_takes_the_two_pass_path(monkeypatch):
+    sub, W = alpha_star_positive()
+    cfg = RciConfig(minimize_alpha=True)
+    calls = count_lps(monkeypatch)
+    design = synthesize_rci_from_w(sub, W, cfg)
+    assert not isinstance(design, DesignFailure)
+    assert 0.1 < design.alpha < 0.3 and design.k == 1
+    # the tie-break at alpha = 0, then min alpha and the tie-break at alpha*
+    assert len(calls) == 3
+    assert calls[0][0].ub[-1] == 0.0 and calls[0][0].c[-1] == 0.0
+    assert calls[1][0].c[-1] == 1.0 and calls[2][0].ub[-1] == design.alpha
+    assert_design_is(design, two_pass_reference(sub, W, cfg))
+    assert structural_report(design, tol=1e-9)["passed"]
+
+
+def test_without_minimize_alpha_the_feasibility_lp_comes_first(monkeypatch):
+    sub, W = alpha_star_positive()
+    calls = count_lps(monkeypatch)
+    design = synthesize_rci_from_w(sub, W, RciConfig())
+    assert not isinstance(design, DesignFailure)
+    assert len(calls) == 2 and not np.any(calls[0][0].c)
+    assert calls[1][0].ub[-1] == design.alpha
+
+
+def test_infeasible_k_before_a_feasible_one(monkeypatch):
+    # the double integrator with a tight input bound: k = 2 and 3 are
+    # infeasible, k = 4 reaches alpha = 0
+    sub = Subsystem("d", [[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]],
+                    HPolytope.symmetric_box([1.0, 1.0]), HPolytope.symmetric_box([0.03]))
+    W = origin_w(2)
+    calls = count_lps(monkeypatch)
+    design = synthesize_rci_from_w(sub, W, RciConfig(minimize_alpha=True, retries=3))
+    assert not isinstance(design, DesignFailure)
+    assert design.k == 4 and design.alpha == 0.0
+    assert len(calls) == 2 + 2 + 1  # alpha = 0 and min alpha for each infeasible k
+    assert_design_is(design, two_pass_reference(sub, W, RciConfig(k=4)))
+
+    failure = synthesize_rci_from_w(sub, W, RciConfig(minimize_alpha=True, retries=1))
+    assert isinstance(failure, DesignFailure)
+    assert failure.attempted_k == [2, 3]
+    assert failure.reason == "feasibility LP infeasible for all attempted k"
+
+
+def test_failure_reason_names_the_status_of_the_feasibility_lp(monkeypatch):
+    # the alpha = 0 LP is infeasible and min alpha fails numerically: the
+    # reason names min alpha's status, as it did before the alpha = 0 LP ran
+    sub, W = alpha_star_positive()
+    solve = rci.solve_lp
+
+    def failing(lp, tol):
+        rep = solve(lp, tol)
+        return SolveReport("numerical-failure") if lp.c[-1] == 1.0 else rep
+
+    monkeypatch.setattr(rci, "solve_lp", failing)
+    failure = synthesize_rci_from_w(sub, W, RciConfig(minimize_alpha=True, retries=0))
+    assert isinstance(failure, DesignFailure) and failure.attempted_k == [1]
+    assert failure.reason == "feasibility LP ended with status numerical-failure"
 
 
 # ------------------------------------------------------- sparse LP assembly
