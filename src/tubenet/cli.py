@@ -1,7 +1,10 @@
 """Scenario ingestion, design-bundle persistence and the command surface.
 
 Scenario and bundle files are JSON; traces export to CSV plus a JSON metrics
-document. Exit codes: 0 ok, 1 usage or schema error, 2 design failure,
+document. Every matrix and vector of a scenario or delta is checked in one
+pass: a rectangular array of finite JSON numbers (never a boolean, string or
+null), else exit 1 naming its JSON path. Bundles are written as compact,
+key-sorted JSON. Exit codes: 0 ok, 1 usage or schema error, 2 design failure,
 3 runtime infeasibility, 4 numerical failure of an online solve.
 """
 
@@ -10,14 +13,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError, validators
 
 from .controller import MpcConfig, TerminalData, TubeController
 from .geometry import GeometryError, HPolytope, VAggregate, VPolytope
@@ -34,8 +36,9 @@ EXIT_DESIGN = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-_VECTOR = {"type": "array", "items": {"type": "number"}}
+#: "numbers": the array's levels; see _numbers
+_MATRIX = {"type": "array", "numbers": 2}
+_VECTOR = {"type": "array", "numbers": 1}
 _POLY = {
     "type": "object",
     "required": ["C", "d"],
@@ -172,10 +175,61 @@ def fingerprint(doc) -> str:
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 
+_NUMBER_TYPES = {int, float}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_numeric_array(x: list, ndim: int) -> bool:
+    """Whether x is a rectangular array of ndim levels of finite JSON numbers;
+    bools fail, although numpy would read them as ints."""
+    leaves = x
+    for _ in range(ndim - 1):
+        if not all(type(row) is list for row in leaves):
+            return False
+        leaves = list(chain.from_iterable(leaves))
+    if not _NUMBER_TYPES.issuperset(map(type, leaves)):
+        return False
+    try:
+        values = np.array(x, dtype=float)
+    except (ValueError, OverflowError):  # ragged rows; an int beyond float range
+        return False
+    return values.ndim == ndim and bool(np.isfinite(values).all())
+
+
+def _misfit(x, ndim: int, path: tuple = ()) -> ValidationError | None:
+    """The first entry of x, ndim levels down, that is not a finite number,
+    as an error at its path relative to x."""
+    if ndim == 0:
+        if type(x) not in _NUMBER_TYPES:
+            return ValidationError(f"{x!r} is not of type 'number'", path=path)
+        if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
+            return ValidationError(f"{x!r} is not a finite number", path=path)
+        return None
+    if type(x) is not list:
+        return ValidationError(f"{x!r} is not of type 'array'", path=path)
+    for i, v in enumerate(x):
+        error = _misfit(v, ndim - 1, (*path, i))
+        if error is not None:
+            return error
+    return None
+
+
+def _numbers(validator, ndim, instance, schema):
+    """Keyword "numbers": a rectangular array of ndim levels of finite JSON
+    numbers, checked in one pass where jsonschema would walk every entry;
+    the first faulty entry is named at its own path."""
+    if type(instance) is list and not _is_numeric_array(instance, ndim):
+        yield _misfit(instance, ndim) or ValidationError(
+            f"not a rectangular array of {ndim} levels")
+
+
+_Validator = validators.extend(Draft202012Validator, {"numbers": _numbers})
+
+
 def _check_schema(doc, schema: dict, root: str = "$"):
     """Raise ScenarioError naming the JSON path of the first violation; root
     is the path of doc inside its file."""
-    errors = sorted(Draft202012Validator(schema).iter_errors(doc), key=lambda e: e.json_path)
+    errors = sorted(_Validator(schema).iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         e = errors[0]
         raise ScenarioError(f"schema violation at {root}{e.json_path[1:]}: {e.message}")
@@ -189,7 +243,7 @@ def _check_weights(settings: dict, path: str, n: int | None = None, m: int | Non
         if key not in settings:
             continue
         W = np.asarray(settings[key], dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1] or dim not in (None, W.shape[0]):
+        if W.shape[0] != W.shape[1] or dim not in (None, W.shape[0]):
             raise ScenarioError(f"ill-shaped matrix at {path}.{key}: {W.shape}, "
                                 f"expected a square matrix of size {dim}")
         if np.abs(W - W.T).max(initial=0.0) > 1e-10 or not np.linalg.eigvalsh(W).min() > 0.0:
@@ -200,17 +254,17 @@ def _check_subsystem(s: dict, path: str) -> tuple[int, int]:
     """Shapes, bounded X and U and the own controller weights of one
     subsystem entry at path; returns its (n, m)."""
     A = np.asarray(s["A"], dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.shape[0] != A.shape[1]:
         raise ScenarioError(f"ill-shaped matrix at {path}.A: expected square")
     n = A.shape[0]
     B = np.asarray(s["B"], dtype=float)
-    if B.ndim != 2 or B.shape[0] != n:
+    if B.shape[0] != n:
         raise ScenarioError(f"ill-shaped matrix at {path}.B: {B.shape} does not match n={n}")
     for key in ("X", "U"):
         C = np.asarray(s[key]["C"], dtype=float)
         d = np.asarray(s[key]["d"], dtype=float)
         want = n if key == "X" else B.shape[1]
-        if C.ndim != 2 or C.shape[1] != want or C.shape[0] != d.shape[0]:
+        if C.shape[1] != want or C.shape[0] != d.shape[0]:
             raise ScenarioError(f"ill-shaped matrix at {path}.{key}: C is {C.shape}, "
                                 f"d has {d.shape[0]} rows, expected width {want}")
         try:
@@ -388,8 +442,9 @@ def bundle_to_dict(scenario: Scenario, controllers: dict, report: dict) -> dict:
 
 
 def save_bundle(path, scenario: Scenario, controllers: dict, report: dict):
+    # json.dumps with no indent runs the C encoder; json.dump to a file never does
     with open(path, "w") as fh:
-        json.dump(bundle_to_dict(scenario, controllers, report), fh, sort_keys=True, indent=1)
+        fh.write(_canonical(bundle_to_dict(scenario, controllers, report)))
 
 
 def load_bundle(path) -> tuple[Scenario, dict, dict]:
@@ -413,10 +468,6 @@ def load_bundle(path) -> tuple[Scenario, dict, dict]:
 
 # ------------------------------------------------------------------- commands
 
-def _thread_count() -> int:
-    return max(1, int(os.environ.get("TUBENET_THREADS", "1")))
-
-
 def design_scenario(scenario: Scenario, overrides: dict | None = None):
     """Design every controller; returns (controllers, report, failures)."""
     overrides = overrides or {}
@@ -433,17 +484,9 @@ def design_scenario(scenario: Scenario, overrides: dict | None = None):
                                    rci_cfg, scenario.controller_config(i))
         return i, result, time.perf_counter() - t0
 
-    ids = scenario.network.ids
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, ids))
-    else:
-        results = [one(i) for i in ids]
-
     controllers, failures = {}, {}
-    report = {"subsystems": {}, "threads": workers, "blas_threads": blas_threads()}
-    for i, result, elapsed in results:
+    report = {"subsystems": {}, "blas_threads": blas_threads()}
+    for i, result, elapsed in map(one, scenario.network.ids):
         if isinstance(result, DesignFailure):
             failures[i] = result
             report["subsystems"][i] = {"status": "failed", "reason": result.reason,

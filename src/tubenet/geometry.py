@@ -391,7 +391,7 @@ def vertices_of(X: HPolytope) -> VPolytope:
     halfspaces = np.column_stack([X.C, -X.d])
     hs = HalfspaceIntersection(halfspaces, center)
     pts = hs.intersections
+    # unique rows come in lexicographic order of the rounded coordinates, so
+    # qhull's last-bit noise cannot reorder vertices whose coordinates tie
     _, idx = np.unique(np.round(pts, 9), axis=0, return_index=True)
-    pts = pts[np.sort(idx)]
-    order = np.lexsort(pts.T[::-1])
-    return VPolytope(pts[order])
+    return VPolytope(pts[idx])

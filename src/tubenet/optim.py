@@ -332,9 +332,9 @@ def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL) -> SolveRe
     as lhs <= [A_ub; A_eq] x <= rhs. Of the options scipy's
     linprog(method="highs") sets, only those that differ from the HiGHS
     defaults are passed: the wrapper checks each one at a cost. The debug
-    level (0) and the dual simplex (strategy 1) are the defaults, and
-    output_flag=False silences the console log too; `presolve=True` means
-    "on", where the default is "choose".
+    level (0), the dual simplex (strategy 1) and presolve ("choose", which
+    presolves an LP) are the defaults, and output_flag=False silences the
+    console log too.
 
     Optimal reports carry the primal point, objective, dual marginals and the
     measured feasibility residual. Infeasible/unbounded outcomes are reported
@@ -350,7 +350,6 @@ def solve_lp(p: LinearProgram, tol: ToleranceConfig = DEFAULT_LP_TOL) -> SolveRe
         p.c, K.indptr, K.indices, K.data,
         np.concatenate([np.full(b_ub.size, -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
         lb, ub, _NO_INTEGRALITY, {
-            "presolve": True,
             "dual_feasibility_tolerance": max(tol.opt_tol * 1e-1, 1e-10),
             "output_flag": False,
             "primal_feasibility_tolerance": max(tol.feas_tol * 1e-1, 1e-10),

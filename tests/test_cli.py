@@ -1,9 +1,14 @@
+import contextlib
 import importlib
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubenet.cli import (
     EXIT_DESIGN,
@@ -279,6 +284,126 @@ def test_malformed_bundle_names_json_path(truck_paths, tmp_path, capsys, command
     assert path in err and "Traceback" not in err
 
 
+# ------------------------------------------------------- numeric arrays
+
+#: one malformed-array fault each, applied to a 2 x 2 matrix
+BAD_MATRICES = {
+    "numeric-string": lambda A: [[A[0][0], "0.1"], A[1]],
+    "true": lambda A: [[A[0][0], True], A[1]],
+    "one-and-true": lambda A: [[1, True], A[1]],  # numpy would read [1, 1]
+    "null": lambda A: [A[0], [None, A[1][1]]],
+    "nan": lambda A: [A[0], [A[1][0], float("nan")]],
+    "inf": lambda A: [A[0], [A[1][0], float("-inf")]],
+    "ragged": lambda A: [A[0], A[1][:1]],
+    "shallow": lambda A: A[0],
+    "deep": lambda A: [A],
+    "empty": lambda A: [],
+}
+
+
+def _numeric_fault(target: str, bad, truck_paths, tmp_path) -> tuple[list, str]:
+    """argv of a command whose input carries the fault bad, and the JSON path
+    of the faulty array."""
+    _, bundle_path = truck_paths
+    path = tmp_path / "in.json"
+    out = str(tmp_path / "out.json")
+    A = truck_scenario()["subsystems"][1]["A"]
+    if target == "scenario":
+        doc = truck_scenario(T=5)
+        doc["subsystems"][1]["A"] = bad(A)
+        path.write_text(json.dumps(doc))
+        return ["design", str(path), "-o", out], "$.subsystems[1].A"
+    if target == "plug":
+        path.write_text(json.dumps(_third_truck(**{"add_subsystem.A": bad(A)})))
+        return ["plug", str(path), str(bundle_path), "-o", out], "$.add_subsystem.A"
+    if target == "unplug":
+        path.write_text(json.dumps({"remove_subsystem": "1", "A_overrides": {"2": bad(A)}}))
+        return ["unplug", str(path), str(bundle_path), "-o", out], "$.A_overrides['2']"
+    doc = json.loads(bundle_path.read_text())
+    doc["scenario"]["subsystems"][1]["A"] = bad(A)
+    path.write_text(json.dumps(doc))
+    return ["check", str(path), "--samples", "0"], "$.scenario.subsystems[1].A"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+@pytest.mark.parametrize("target", ["scenario", "plug", "unplug", "bundle"])
+def test_malformed_array_names_its_json_path(truck_paths, tmp_path, capsys, target, case):
+    argv, path = _numeric_fault(target, BAD_MATRICES[case], truck_paths, tmp_path)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"schema violation at {path}" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def _json_path(parts) -> str:
+    """A path as jsonschema writes it: $.key, $['1'], $[0]."""
+    return "$" + "".join(f"[{p}]" if isinstance(p, int)
+                         else f".{p}" if re.fullmatch(r"[a-zA-Z]\w*", p) else f"['{p}']"
+                         for p in parts)
+
+
+def _numeric_arrays(doc, parts=()):
+    """(path, levels) of every vector and matrix in a scenario document."""
+    def numbers(row):
+        return isinstance(row, list) and row and all(type(v) in (int, float) for v in row)
+
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_arrays(value, (*parts, key))
+    elif numbers(doc):
+        yield parts, 1
+    elif isinstance(doc, list) and doc and all(numbers(row) for row in doc):
+        yield parts, 2
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _numeric_arrays(value, (*parts, i))
+
+
+FUZZED = power_scenario(T=5)
+FUZZED_ARRAYS = sorted(_numeric_arrays(FUZZED), key=str)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_corrupted_array_entry_exits_1_with_its_path(tmp_path_factory, data):
+    parts, levels = data.draw(st.sampled_from(FUZZED_ARRAYS))
+    doc = json.loads(json.dumps(FUZZED))
+    array = doc
+    for part in parts:
+        array = array[part]
+    for _ in range(levels):
+        i = data.draw(st.integers(0, len(array) - 1))
+        parts, parent, array = (*parts, i), array, array[i]
+    parent[parts[-1]] = data.draw(st.sampled_from(
+        ["0.5", True, False, None, float("nan"), float("inf"), 10**400, [], [0.5], {}]))
+    path = tmp_path_factory.mktemp("fuzz") / "s.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["design", str(path), "-o", str(path.with_name("b.json"))])
+    assert rc == EXIT_USAGE
+    assert err.getvalue().startswith(f"error: schema violation at {_json_path(parts)}: ")
+
+
+def test_bundle_is_compact_json_that_round_trips(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    same_controllers = importlib.import_module("workloads").same_controllers
+    scenario = scenario_from_dict(truck_scenario(T=5))
+    controllers, report, _ = design_scenario(scenario)
+    path = tmp_path / "b.json"
+    save_bundle(path, scenario, controllers, report)
+    text = path.read_text()
+    doc = json.loads(text)
+    assert "\n" not in text
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert doc["scenario_fingerprint"] == fingerprint(truck_scenario(T=5))
+    loaded_scenario, loaded, _ = load_bundle(path)
+    assert loaded_scenario.fingerprint() == scenario.fingerprint()
+    assert same_controllers(controllers, loaded)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1))  # the older layout
+    assert same_controllers(controllers, load_bundle(path)[1])
+
+
 def test_check_detects_corrupted_alpha(truck_paths, tmp_path):
     _, bundle_path = truck_paths
     doc = json.loads(bundle_path.read_text())
@@ -543,21 +668,6 @@ def test_design_with_empty_couplings(tmp_path):
     assert main(["design", str(spath), "-o", str(bpath)]) == EXIT_OK
     doc = json.loads(bpath.read_text())
     assert all(doc["controllers"][i]["alpha"] < 1.0 for i in ("1", "2"))
-
-
-def test_design_respects_thread_env(tmp_path, monkeypatch):
-    doc = truck_scenario(T=5)
-    spath = tmp_path / "s.json"
-    spath.write_text(json.dumps(doc))
-    b1 = tmp_path / "b1.json"
-    assert main(["design", str(spath), "-o", str(b1)]) == EXIT_OK
-    monkeypatch.setenv("TUBENET_THREADS", "2")
-    b2 = tmp_path / "b2.json"
-    assert main(["design", str(spath), "-o", str(b2)]) == EXIT_OK
-    d1 = json.loads(b1.read_text())
-    d2 = json.loads(b2.read_text())
-    assert d2["report"]["threads"] == 2
-    assert d1["controllers"] == d2["controllers"]  # parallel design is bit-equal
 
 
 def test_unplug_with_dynamics_overrides_cli(power_five_areas, tmp_path):

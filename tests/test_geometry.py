@@ -358,13 +358,23 @@ def test_vertices_of_box_matches_qhull_in_closed_form(monkeypatch):
         X = HPolytope(C[order], d[order])
         boxed = vertices_of(X).vertices
         assert np.allclose(boxed, box_vertices(lo, hi), rtol=0.0, atol=1e-12)
-        # qhull's coordinates carry rounding noise that can swap two vertices
-        # whose coordinates tie; ties are read at 9 decimals, as vertices_of
-        # reads duplicates
-        hulled = _qhull_vertices(monkeypatch, X)
-        hulled = hulled[np.lexsort(np.round(hulled, 9).T[::-1])]
+        hulled = _qhull_vertices(monkeypatch, X)  # in the same order
         assert boxed.shape == hulled.shape
         assert np.allclose(boxed, hulled, rtol=0.0, atol=1e-12)
+
+
+def test_qhull_vertices_tie_in_lexicographic_order(monkeypatch):
+    # qhull's noise in a tied first coordinate once put (-0.6496, -0.680, .)
+    # after two vertices whose second coordinate is 2.474
+    lo = np.array([-1.21013492, -0.68004967, -2.03641914])
+    hi = np.array([-0.64964231, 2.47422832, 0.64831959])
+    scale = np.array([2.6594351, 4.12033489, 2.83556129, 4.90838547, 1.18164541, 2.85790574])
+    eye = np.eye(3)
+    C, d = np.vstack([eye, -eye]) * scale[:, None], np.concatenate([hi, -lo]) * scale
+    C, d = np.vstack([C, C[:2], eye[:1]]), np.concatenate([d, d[:2], hi[:1] + 1.0])
+    order = [1, 8, 5, 2, 4, 7, 0, 3, 6]
+    hulled = _qhull_vertices(monkeypatch, HPolytope(C[order], d[order]))
+    assert np.array_equal(np.round(hulled, 9), np.round(box_vertices(lo, hi), 9))
 
 
 def test_vertices_of_box_closed_form_runs_no_lp(monkeypatch):

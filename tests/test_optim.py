@@ -469,7 +469,7 @@ def test_lp_passes_only_options_that_differ_from_the_highs_defaults(monkeypatch,
     assert defaults["highs_debug_level"][1] == 0
     dual = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     assert defaults["simplex_strategy"][1] == dual
-    assert defaults["presolve"][1] == "choose"  # so presolve=True ("on") is passed
+    assert defaults["presolve"][1] == "choose"  # presolves an LP; see the next test
 
     seen = []
     wrapper = _linprog_highs._highs_wrapper
@@ -485,11 +485,34 @@ def test_lp_passes_only_options_that_differ_from_the_highs_defaults(monkeypatch,
     assert solve_lp(LinearProgram(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[0.0, -1.0])).status \
         == "infeasible"
     assert capfd.readouterr() == ("", "")  # output_flag=False silences the console log
-    assert all(set(options) == {"presolve", "output_flag", "primal_feasibility_tolerance",
+    assert all(set(options) == {"output_flag", "primal_feasibility_tolerance",
                                 "dual_feasibility_tolerance", "ipm_iteration_limit",
                                 "simplex_iteration_limit"} for options in seen)
-    assert all(options["presolve"] is True and options["output_flag"] is False
-               for options in seen)
+    assert all(options["output_flag"] is False for options in seen)
+
+
+def test_default_presolve_gives_the_bits_of_presolve_on(monkeypatch):
+    # every LP of the built-in designs, solved again with presolve "on"
+    from tubenet.cli import design_scenario, scenario_from_dict
+    from tubenet.scenarios import mass_scenario, power_scenario, truck_scenario
+
+    seen = []
+    wrapper = _linprog_highs._highs_wrapper
+
+    def spy(*args):
+        seen.append((args, wrapper(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
+    for doc in (truck_scenario(T=5), power_scenario(T=5), mass_scenario(2, 2, seed=1)):
+        _, _, failures = design_scenario(scenario_from_dict(doc))
+        assert not failures
+    assert len(seen) > 20
+    for args, res in seen:
+        on = wrapper(*args[:-1], {**args[-1], "presolve": True})  # "on"
+        assert on["status"] == res["status"] and on["simplex_nit"] == res["simplex_nit"]
+        for key in ("x", "lambda", "marg_bnds"):
+            assert np.array_equal(on.get(key), res.get(key))
 
 
 def test_dense_blocks_stack_into_scipys_canonical_csc():
