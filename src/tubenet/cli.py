@@ -1,11 +1,13 @@
 """Scenario ingestion, design-bundle persistence and the command surface.
 
 Scenario and bundle files are JSON; traces export to CSV plus a JSON metrics
-document. Every matrix and vector of a scenario or delta is checked in one
-pass: a rectangular array of finite JSON numbers (never a boolean, string or
-null), else exit 1 naming its JSON path. Bundles are written as compact,
-key-sorted JSON. Exit codes: 0 ok, 1 usage or schema error, 2 design failure,
-3 runtime infeasibility, 4 numerical failure of an online solve.
+document. Every matrix and vector of a scenario, a delta or a bundle's design
+is checked in one pass: a rectangular array of finite JSON numbers (never a
+boolean, string or null). A fault in a scenario (load steps included), in a
+plug or unplug delta or in a bundle exits 1 naming its JSON path; so does a
+file that cannot be read or written. Bundles are compact, key-sorted JSON.
+Exit codes: 0 ok, 1 usage or input error, 2 design failure, 3 runtime
+infeasibility, 4 numerical failure of an online solve.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from itertools import chain
 import numpy as np
 from jsonschema import Draft202012Validator, ValidationError, validators
 
-from .controller import MpcConfig, TerminalData, TubeController
+from .controller import MpcConfig, TerminalData, TubeController, design_controller
 from .geometry import GeometryError, HPolytope, VAggregate, VPolytope
-from .model import Coupling, ModelError, Network, Subsystem
+from .model import Coupling, ModelError, Network, Subsystem, disturbance_set
 from .optim import STATUS_INFEASIBLE, blas_threads
 from .pnp import plug_in, unplug
 from .rci import DesignFailure, RciConfig, RciDesign
@@ -141,18 +143,18 @@ UNPLUG_SCHEMA = {
 
 
 #: design bundle: the embedded scenario (checked by SCENARIO_SCHEMA when it
-#: is ingested) and one solved design per subsystem; the design's arrays
-#: are checked when they are read, since a deep check costs more than the read
-_ARRAY, _NUMBER, _INTEGER = {"type": "array"}, {"type": "number"}, {"type": "integer"}
+#: is ingested) and one solved design per subsystem; each block of a list is
+#: a matrix of its own, so w_blocks may differ in size from block to block
+_BLOCKS = {"type": "array", "items": _MATRIX}
+_NUMBER, _INTEGER = {"type": "number"}, {"type": "integer"}
 _DESIGN = {
     "type": "object",
     "required": ["alpha", "k", "q", "omega", "z_blocks", "u_blocks", "z_terminal", "rho",
                  "w_blocks", "w_sigma", "Xhat", "V"],
     "properties": {"alpha": _NUMBER, "k": _INTEGER, "q": _INTEGER, "omega": _NUMBER,
-                   "z_blocks": _ARRAY, "u_blocks": _ARRAY, "z_terminal": _ARRAY, "rho": _ARRAY,
-                   "w_blocks": _ARRAY, "w_sigma": _NUMBER,
-                   "Xhat": {"type": "object", "required": ["C", "d"]},
-                   "V": {"type": "object", "required": ["C", "d"]}},
+                   "z_blocks": _BLOCKS, "u_blocks": _BLOCKS, "z_terminal": _MATRIX,
+                   "rho": _MATRIX, "w_blocks": _BLOCKS, "w_sigma": _NUMBER,
+                   "Xhat": _POLY, "V": _POLY},
 }
 BUNDLE_SCHEMA = {
     "type": "object",
@@ -311,6 +313,11 @@ def validate_scenario(doc: dict, root: str = "$"):
             raise ScenarioError(f"unknown subsystem at {root}.simulation.x0.{sid}")
         if len(x0) != dims[str(sid)][0]:
             raise ScenarioError(f"ill-shaped vector at {root}.simulation.x0.{sid}")
+    for idx, ls in enumerate(doc["simulation"].get("loads", [])):
+        if str(ls["id"]) not in dims:
+            raise ScenarioError(f"unknown subsystem at {root}.simulation.loads[{idx}].id")
+        if ls["time"] >= doc["simulation"]["T"]:
+            raise ScenarioError(f"load step outside [0, T) at {root}.simulation.loads[{idx}].time")
 
 
 @dataclass
@@ -318,10 +325,6 @@ class Scenario:
     doc: dict
     network: Network
     ts: float
-
-    @property
-    def name(self) -> str:
-        return self.doc["name"]
 
     def fingerprint(self) -> str:
         return fingerprint(self.doc)
@@ -369,31 +372,32 @@ class Scenario:
                          record_failure=record_failure)
 
 
-def scenario_from_dict(doc: dict, root: str = "$") -> Scenario:
-    validate_scenario(doc, root)
+def _model_of(subsystems: list, couplings: list) -> tuple[list, list]:
+    """The Subsystem and Coupling objects of checked scenario or delta entries."""
     try:
-        subs = []
-        for s in doc["subsystems"]:
-            verts = s["X"].get("vertices")
-            subs.append(Subsystem(
-                str(s["id"]), s["A"], s["B"],
-                HPolytope(s["X"]["C"], s["X"]["d"]),
-                HPolytope(s["U"]["C"], s["U"]["d"]),
-                x_vertices=None if verts is None else VPolytope(verts),
-                L=s.get("L"),
-                setpoint_state_gain=s.get("setpoint_state_gain"),
-                setpoint_input_gain=s.get("setpoint_input_gain")))
-        coups = [Coupling(str(c["from"]), str(c["to"]), c["A"]) for c in doc["couplings"]]
-        net = Network(subs, coups)
+        subs = [Subsystem(str(s["id"]), s["A"], s["B"],
+                          HPolytope(s["X"]["C"], s["X"]["d"]),
+                          HPolytope(s["U"]["C"], s["U"]["d"]),
+                          x_vertices=None if "vertices" not in s["X"]
+                          else VPolytope(s["X"]["vertices"]),
+                          L=s.get("L"),
+                          setpoint_state_gain=s.get("setpoint_state_gain"),
+                          setpoint_input_gain=s.get("setpoint_input_gain"))
+                for s in subsystems]
+        return subs, [Coupling(str(c["from"]), str(c["to"]), c["A"]) for c in couplings]
     except (ModelError, GeometryError) as e:
         raise ScenarioError(str(e)) from e
+
+
+def scenario_from_dict(doc: dict, root: str = "$") -> Scenario:
+    validate_scenario(doc, root)
+    net = Network(*_model_of(doc["subsystems"], doc["couplings"]))  # ids and links checked
     return Scenario(doc=doc, network=net, ts=float(doc["sampling_time"]))
 
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        doc = json.load(fh)
-    return scenario_from_dict(doc)
+        return scenario_from_dict(json.load(fh))
 
 
 # ----------------------------------------------------------------- bundle i/o
@@ -470,14 +474,11 @@ def load_bundle(path) -> tuple[Scenario, dict, dict]:
 
 def design_scenario(scenario: Scenario, overrides: dict | None = None):
     """Design every controller; returns (controllers, report, failures)."""
-    overrides = overrides or {}
-    from .controller import design_controller
-    from .model import disturbance_set
 
     def one(i):
         t0 = time.perf_counter()
         rci_cfg = scenario.rci_config(i)
-        for key, value in overrides.items():
+        for key, value in (overrides or {}).items():
             setattr(rci_cfg, key, value)
         result = design_controller(scenario.network.subsystems[i],
                                    disturbance_set(scenario.network, i),
@@ -516,11 +517,7 @@ def design_scenario(scenario: Scenario, overrides: dict | None = None):
 
 
 def cmd_design(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario)
     overrides = {}
     if args.k is not None:
         overrides["k"] = args.k
@@ -552,18 +549,14 @@ def _check_bundle_matches(scenario: Scenario, bundle_path) -> tuple:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.naive:
-            controllers = {i: NaiveMpc(scenario.network.subsystems[i], N=cfg.N, Q=cfg.Q, R=cfg.R)
-                           for i, cfg in scenario.resolved_configs().items()}
-        else:
-            if args.bundle is None:
-                raise ScenarioError("a bundle is required unless --naive is given")
-            controllers, _ = _check_bundle_matches(scenario, args.bundle)
-    except (ScenarioError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario)
+    if args.naive:
+        controllers = {i: NaiveMpc(scenario.network.subsystems[i], N=cfg.N, Q=cfg.Q, R=cfg.R)
+                       for i, cfg in scenario.resolved_configs().items()}
+    else:
+        if args.bundle is None:
+            raise ScenarioError("a bundle is required unless --naive is given")
+        controllers, _ = _check_bundle_matches(scenario, args.bundle)
     cfg = scenario.sim_config(mode=args.mode, record_failure=True)
     trace = run(scenario.network, controllers, cfg)
     if args.trace:
@@ -616,34 +609,15 @@ def _load_delta(path, schema: dict) -> dict:
 
 
 def cmd_plug(args) -> int:
-    try:
-        delta = _load_delta(args.delta, PLUG_SCHEMA)
-        scenario, controllers, _ = load_bundle(args.bundle)
-        _check_plug_delta(delta, scenario)
-        sdoc = dict(delta["add_subsystem"])
-        if "controller" in delta:
-            sdoc["controller"] = {**sdoc.get("controller", {}), **delta["controller"]}
-        new_scenario = scenario_from_dict(_scenario_doc_with(
-            scenario.doc, sdoc, delta.get("couplings", []), delta.get("x0")))
-    except (ScenarioError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    new_id = str(sdoc["id"])
-    new_net = new_scenario.network
-    tx = plug_in(scenario.network, controllers, new_net.subsystems[new_id],
-                 new_net.couplings[len(scenario.network.couplings):],
-                 new_scenario.controller_config(new_id), new_scenario.rci_config(new_id))
-    print(json.dumps({"operation": tx.operation, "target": tx.target,
-                      "status": tx.status, "reason": tx.reason,
-                      "redesigned": tx.redesign_set if tx.committed else [],
-                      "outcomes": tx.outcomes}, indent=1))
-    if not tx.committed:
-        return EXIT_DESIGN
-    save_bundle(args.out, new_scenario, tx.controllers,
-                {"transaction": {"operation": "plug", "target": tx.target,
-                                 "outcomes": tx.outcomes}})
-    print(f"bundle written to {args.out}")
-    return EXIT_OK
+    delta = _load_delta(args.delta, PLUG_SCHEMA)
+    scenario, controllers, _ = load_bundle(args.bundle)
+    _check_plug_delta(delta, scenario)
+    # the settings are read off the document alone; the network is the transaction's
+    plugged = Scenario(_scenario_doc_with(scenario.doc, delta), scenario.network, scenario.ts)
+    (sub,), coups = _model_of(plugged.doc["subsystems"][-1:], delta.get("couplings", []))
+    tx = plug_in(scenario.network, controllers, sub, coups,
+                 plugged.controller_config(sub.id), plugged.rci_config(sub.id))
+    return _report_transaction(tx, plugged.doc, scenario.ts, args.out)
 
 
 def _check_plug_delta(delta: dict, scenario: Scenario):
@@ -668,12 +642,30 @@ def _check_plug_delta(delta: dict, scenario: Scenario):
         raise ScenarioError(f"ill-shaped vector at $.x0: expected length {n}")
 
 
-def _scenario_doc_with(doc: dict, new_sub: dict, new_coups: list, x0=None) -> dict:
+def _check_unplug_delta(delta: dict, scenario: Scenario) -> tuple[str, dict]:
+    """Check an unplug delta at its own JSON paths; returns target and overrides."""
+    subs = scenario.network.subsystems
+    target = str(delta["remove_subsystem"])
+    if target not in subs:
+        raise ScenarioError(f"unknown subsystem at $.remove_subsystem: {target!r}")
+    for sid, A in delta.get("A_overrides", {}).items():
+        if sid not in subs or sid == target:
+            raise ScenarioError(f"no retained subsystem at $.A_overrides.{sid}")
+        if np.shape(A) != subs[sid].A.shape:
+            raise ScenarioError(f"ill-shaped matrix at $.A_overrides.{sid}: "
+                                f"{np.shape(A)}, expected {subs[sid].A.shape}")
+    return target, delta.get("A_overrides", {})
+
+
+def _scenario_doc_with(doc: dict, delta: dict) -> dict:
+    """doc plus the plug delta's subsystem (with its settings), couplings and x0."""
     out = json.loads(json.dumps(doc))
-    out["subsystems"].append(new_sub)
-    out["couplings"].extend(new_coups)
-    out["simulation"]["x0"][str(new_sub["id"])] = (
-        x0 if x0 is not None else [0.0] * len(new_sub["A"]))
+    sub = dict(delta["add_subsystem"])
+    if "controller" in delta:
+        sub["controller"] = {**sub.get("controller", {}), **delta["controller"]}
+    out["subsystems"].append(sub)
+    out["couplings"].extend(delta.get("couplings", []))
+    out["simulation"]["x0"][str(sub["id"])] = delta.get("x0", [0.0] * len(sub["A"]))
     return out
 
 
@@ -692,41 +684,32 @@ def _scenario_doc_without(doc: dict, target: str, overrides: dict) -> dict:
 
 
 def cmd_unplug(args) -> int:
-    try:
-        delta = _load_delta(args.delta, UNPLUG_SCHEMA)
-        scenario, controllers, _ = load_bundle(args.bundle)
-        for sid, A in delta.get("A_overrides", {}).items():
-            sub = scenario.network.subsystems.get(sid)
-            if sub is not None and np.shape(A) != sub.A.shape:
-                raise ScenarioError(f"ill-shaped matrix at $.A_overrides.{sid}: "
-                                    f"{np.shape(A)}, expected {sub.A.shape}")
-    except (ScenarioError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    target = str(delta["remove_subsystem"])
-    overrides = delta.get("A_overrides", {})
+    delta = _load_delta(args.delta, UNPLUG_SCHEMA)
+    scenario, controllers, _ = load_bundle(args.bundle)
+    target, overrides = _check_unplug_delta(delta, scenario)
     tx = unplug(scenario.network, controllers, target, policy=args.policy,
                 dynamics_overrides=overrides)
+    return _report_transaction(tx, _scenario_doc_without(scenario.doc, target, overrides),
+                               scenario.ts, args.out, policy=args.policy)
+
+
+def _report_transaction(tx, doc: dict, ts: float, out, **extra) -> int:
+    """Print a plug/unplug transaction; on commit, save the new network's bundle."""
     print(json.dumps({"operation": tx.operation, "target": tx.target,
                       "status": tx.status, "reason": tx.reason,
                       "redesigned": tx.redesign_set if tx.committed else [],
                       "outcomes": tx.outcomes}, indent=1))
     if not tx.committed:
         return EXIT_DESIGN
-    new_scenario = scenario_from_dict(_scenario_doc_without(scenario.doc, target, overrides))
-    save_bundle(args.out, new_scenario, tx.controllers,
-                {"transaction": {"operation": "unplug", "target": target,
-                                 "policy": args.policy, "outcomes": tx.outcomes}})
-    print(f"bundle written to {args.out}")
+    save_bundle(out, Scenario(doc, tx.network, ts), tx.controllers,
+                {"transaction": {"operation": tx.operation, "target": tx.target, **extra,
+                                 "outcomes": tx.outcomes}})
+    print(f"bundle written to {out}")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        scenario, controllers, _ = load_bundle(args.bundle)
-    except (ScenarioError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    _, controllers, _ = load_bundle(args.bundle)
     report = {}
     all_pass = True
     for i, ctrl in sorted(controllers.items()):
@@ -747,10 +730,9 @@ def cmd_check(args) -> int:
 def cmd_export(args) -> int:
     try:
         trace = SimTrace.from_json(args.trace)
-        scenario, _, _ = load_bundle(args.bundle)
-    except (ScenarioError, OSError, json.JSONDecodeError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except KeyError as e:
+        raise ScenarioError(f"malformed trace {args.trace}: no field {e}") from e
+    scenario, _, _ = load_bundle(args.bundle)
     if args.csv:
         trace.to_csv(args.csv)
         print(f"trace csv written to {args.csv}")
@@ -817,7 +799,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ScenarioError, OSError, json.JSONDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

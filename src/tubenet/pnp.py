@@ -10,7 +10,7 @@ caller opts into a performance retune.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,11 +44,6 @@ class PnpTransaction:
         return self.status == "committed"
 
 
-def _redesign(net: Network, i: str, mpc_cfg: MpcConfig, rci_cfg: RciConfig | None):
-    return design_controller(net.subsystems[i], disturbance_set(net, i),
-                             rci_cfg, mpc_cfg)
-
-
 def plug_in(net: Network, controllers: dict, new_sub: Subsystem, new_couplings,
             mpc_cfg: MpcConfig, rci_cfg: RciConfig | None = None) -> PnpTransaction:
     """Add a subsystem: design its controller from predecessor data, then
@@ -74,42 +69,40 @@ def plug_in(net: Network, controllers: dict, new_sub: Subsystem, new_couplings,
         tx.reason = str(e)
         return tx
 
-    successors = candidate.successors(new_id)
-    tx.redesign_set = [new_id] + successors
+    tx.redesign_set = [new_id] + candidate.successors(new_id)
+    return _redesign_and_commit(tx, candidate, dict(controllers), rci_cfg, "design",
+                                new_cfg=mpc_cfg)
 
-    new_controllers = dict(controllers)
+
+def _redesign_and_commit(tx: PnpTransaction, candidate: Network, controllers: dict,
+                         rci_cfg: RciConfig | None, verb: str,
+                         new_cfg: MpcConfig | None = None) -> PnpTransaction:
+    """Redesign tx.redesign_set on the candidate network with the old settings
+    (new_cfg for a plugged subsystem) into controllers, which holds the reused
+    ones; commit only if every new design passes the exact invariance
+    certificate: the identities of the solved LP plus the strict inclusions."""
     for i in tx.redesign_set:
-        cfg = mpc_cfg if i == new_id else controllers[i].cfg
-        result = _redesign(candidate, i, cfg, rci_cfg)
+        cfg = new_cfg if i == tx.target else controllers[i].cfg
+        result = design_controller(candidate.subsystems[i], disturbance_set(candidate, i),
+                                   rci_cfg, cfg)
         if isinstance(result, DesignFailure):
             tx.outcomes[i] = f"failed: {result.reason}"
-            tx.reason = f"design failed for subsystem {i}"
-            tx.status = "rejected"
+            tx.reason = f"{verb} failed for subsystem {i}"
             return tx
         tx.outcomes[i] = "designed"
-        new_controllers[i] = result
-
-    if not _commit_gate(tx, candidate, new_controllers):
-        return tx
-    tx.status = "committed"
-    tx.network = candidate
-    tx.controllers = new_controllers
-    return tx
-
-
-def _commit_gate(tx: PnpTransaction, candidate: Network, controllers: dict) -> bool:
-    """Exact invariance certificate on every redesigned controller: the
-    identities of the solved invariant-set LP plus the strict inclusions."""
+        controllers[i] = result
     for i in tx.redesign_set:
         rci = controllers[i].rci
         if not (structural_report(rci)["passed"]
                 and inclusion_report(candidate.subsystems[i], rci)["passed"]):
             tx.outcomes[i] = "failed: invariance certificate"
             tx.reason = f"invariance certificate failed for subsystem {i}"
-            tx.status = "rejected"
-            return False
+            return tx
         tx.outcomes[i] = "designed+certified"
-    return True
+    tx.status = "committed"
+    tx.network = candidate
+    tx.controllers = controllers
+    return tx
 
 
 def unplug(net: Network, controllers: dict, target: str, policy: str = "none",
@@ -138,41 +131,20 @@ def unplug(net: Network, controllers: dict, target: str, policy: str = "none",
         tx.reason = f"dynamics overrides for unknown subsystems {unknown}"
         return tx
 
-    successors = net.successors(target)
     candidate = net.copy()
     del candidate.subsystems[target]
     candidate.couplings = [c for c in candidate.couplings
                            if c.src != target and c.dst != target]
-
     redesign = set(overrides)
     if policy == "performance":
-        redesign.update(successors)
+        redesign.update(net.successors(target))
     tx.redesign_set = sorted(redesign, key=lambda s: (len(s), s))
-
-    new_controllers = {i: c for i, c in controllers.items() if i != target}
-    for i in overrides:
-        old = candidate.subsystems[i]
+    for i, A in overrides.items():
         try:
-            candidate.subsystems[i] = Subsystem(
-                i, overrides[i], old.B, old.X, old.U, x_vertices=old.x_vertices,
-                L=old.L, setpoint_state_gain=old.setpoint_state_gain,
-                setpoint_input_gain=old.setpoint_input_gain)
+            candidate.subsystems[i] = replace(candidate.subsystems[i], A=A)
         except ModelError as e:
             tx.reason = f"invalid dynamics override for subsystem {i}: {e}"
             return tx
-    for i in tx.redesign_set:
-        result = _redesign(candidate, i, controllers[i].cfg, rci_cfg)
-        if isinstance(result, DesignFailure):
-            tx.outcomes[i] = f"failed: {result.reason}"
-            tx.reason = f"redesign failed for subsystem {i}"
-            tx.status = "rejected"
-            return tx
-        tx.outcomes[i] = "designed"
-        new_controllers[i] = result
-
-    if not _commit_gate(tx, candidate, new_controllers):
-        return tx
-    tx.status = "committed"
-    tx.network = candidate
-    tx.controllers = new_controllers
-    return tx
+    return _redesign_and_commit(
+        tx, candidate, {i: c for i, c in controllers.items() if i != target}, rci_cfg,
+        "redesign")

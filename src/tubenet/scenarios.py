@@ -120,9 +120,9 @@ def power_scenario(topology: dict | None = None, T: int = 200, tie_gain: float =
         })
         for k, j in enumerate(nbrs):
             couplings.append({"from": j, "to": i, "A": _mat(blocks[k])})
-    if loads is None:
-        loads = [{"id": "1", "time": 5, "value": 0.10},
-                 {"id": "3", "time": 80, "value": -0.08}]
+    if loads is None:  # the default steps that fall inside the horizon
+        loads = [ls for ls in ({"id": "1", "time": 5, "value": 0.10},
+                               {"id": "3", "time": 80, "value": -0.08}) if ls["time"] < T]
     return {
         "name": f"power-{len(topology)}-areas",
         "sampling_time": 1.0,

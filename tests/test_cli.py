@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubenet import cli
 from tubenet.cli import (
     EXIT_DESIGN,
     EXIT_INFEASIBLE,
@@ -262,6 +263,18 @@ def _malformed(doc: dict, case: str) -> dict:
         doc["controllers"]["9"] = doc["controllers"]["2"]
     elif case == "scenario-field":
         del doc["scenario"]["subsystems"][0]["B"]
+    elif case == "string-in-z-block":
+        doc["controllers"]["1"]["z_blocks"][0][0][0] = "0.0"
+    elif case == "true-in-Xhat":
+        doc["controllers"]["1"]["Xhat"]["d"][0] = True
+    elif case == "null-in-V":
+        doc["controllers"]["1"]["V"]["C"][0][0] = None
+    elif case == "flat-rho":
+        doc["controllers"]["1"]["rho"] = doc["controllers"]["1"]["rho"][0]
+    elif case == "ragged-w-block":
+        doc["controllers"]["1"]["w_blocks"][0][0].append(0.0)
+    elif case == "nan-z-terminal":
+        doc["controllers"]["1"]["z_terminal"][0][0] = float("nan")
     return doc
 
 
@@ -273,6 +286,12 @@ def _malformed(doc: dict, case: str) -> dict:
     ("no-blocks", "malformed design at $.controllers.1"),
     ("unknown-id", "unknown subsystem at $.controllers.9"),
     ("scenario-field", "$.scenario.subsystems[0]: 'B' is a required property"),
+    ("string-in-z-block", "$.controllers['1'].z_blocks[0][0][0]: '0.0' is not of type 'number'"),
+    ("true-in-Xhat", "$.controllers['1'].Xhat.d[0]: True is not of type 'number'"),
+    ("null-in-V", "$.controllers['1'].V.C[0][0]: None is not of type 'number'"),
+    ("flat-rho", "$.controllers['1'].rho[0]: "),
+    ("ragged-w-block", "$.controllers['1'].w_blocks[0]: not a rectangular array"),
+    ("nan-z-terminal", "$.controllers['1'].z_terminal[0][0]: nan is not a finite number"),
 ])
 def test_malformed_bundle_names_json_path(truck_paths, tmp_path, capsys, command, case, path):
     scenario_path, bundle_path = truck_paths
@@ -498,6 +517,47 @@ def test_ill_shaped_unplug_override_names_json_path(truck_paths, tmp_path, capsy
     assert "$.A_overrides.2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta, path", [
+    ({"remove_subsystem": "7"}, "unknown subsystem at $.remove_subsystem"),
+    ({"remove_subsystem": 7}, "unknown subsystem at $.remove_subsystem"),
+    ({"remove_subsystem": "1", "A_overrides": {"9": np.eye(2).tolist()}},
+     "no retained subsystem at $.A_overrides.9"),
+    ({"remove_subsystem": "1", "A_overrides": {"1": np.eye(2).tolist()}},
+     "no retained subsystem at $.A_overrides.1"),
+])
+def test_unplug_delta_faults_name_the_delta_path(truck_paths, tmp_path, capsys, delta, path):
+    _, bundle_path = truck_paths
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(delta))
+    out = tmp_path / "out.json"
+    assert main(["unplug", str(dpath), str(bundle_path), "-o", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert path in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # rejected before any transaction runs
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("time", 50), ("id", "9")])
+def test_load_step_faults_name_their_path(tmp_path, capsys, field, value):
+    doc = power_scenario(T=20)
+    validate_scenario(doc)  # the default steps that fit the horizon
+    doc["simulation"]["loads"].append({"id": "2", "time": 3, "value": 0.05})
+    doc["simulation"]["loads"][1][field] = value
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["simulate", str(spath), "--naive"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"at $.simulation.loads[1].{field}" in err and "Traceback" not in err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(truck_scenario(T=5)))
+    assert main(["design", str(spath), "-o", str(tmp_path / "missing" / "b.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_design_rejects_state_set_without_origin(tmp_path, capsys):
     doc = truck_scenario(T=5)
     doc["subsystems"][0]["X"]["d"][0] = -1.0
@@ -689,3 +749,59 @@ def test_unplug_with_dynamics_overrides_cli(power_five_areas, tmp_path):
     assert set(new_controllers) == {"1", "2", "3", "5"}
     assert set(report["transaction"]["outcomes"]) == {"3", "5"}
     assert np.allclose(new_scenario.network.subsystems["3"].A, overrides["3"])
+
+
+def _power_five_unplug(power_five_areas, tmp_path) -> tuple[Path, dict]:
+    """A bundle of the 5-area grid and a delta removing area 4, with new local
+    dynamics for its neighbours 3 and 5."""
+    scenario, controllers = power_five_areas
+    from tubenet.scenarios import _power_area_matrices
+
+    bundle_path = tmp_path / "p5.json"
+    save_bundle(bundle_path, scenario, controllers, {})
+    overrides = {i: _power_area_matrices(1, 5.0 + 0.2 * int(i), 0.3)[0].tolist()
+                 for i in ("3", "5")}
+    return bundle_path, {"remove_subsystem": "4", "A_overrides": overrides}
+
+
+@pytest.mark.parametrize("command", ["plug", "unplug"])
+def test_each_transaction_validates_the_scenario_once(request, tmp_path, monkeypatch, command):
+    if command == "plug":
+        bundle_path, delta = request.getfixturevalue("truck_paths")[1], _third_truck()
+    else:
+        bundle_path, delta = _power_five_unplug(request.getfixturevalue("power_five_areas"),
+                                                tmp_path)
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(delta))
+    out = tmp_path / "out.json"
+    validated, transactions = [], []
+    validate = cli.validate_scenario
+    operation = cli.plug_in if command == "plug" else cli.unplug
+
+    def count(doc, root="$"):
+        validated.append(root)
+        return validate(doc, root)
+
+    def keep(*args, **kwargs):
+        transactions.append(operation(*args, **kwargs))
+        return transactions[-1]
+
+    monkeypatch.setattr(cli, "validate_scenario", count)
+    monkeypatch.setattr(cli, operation.__name__, keep)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, str(dpath), str(bundle_path), "-o", str(out)]) == EXIT_OK
+    assert validated == ["$.scenario"]  # the input bundle's own check, nothing more
+    monkeypatch.undo()
+
+    # the saved scenario rebuilds exactly the network the transaction committed
+    (tx,) = transactions
+    saved = load_bundle(out)[0].network
+    assert list(saved.subsystems) == list(tx.network.subsystems)
+    for i, sub in tx.network.subsystems.items():
+        assert np.array_equal(saved.subsystems[i].A, sub.A)
+        assert np.array_equal(saved.subsystems[i].B, sub.B)
+    assert len(saved.couplings) == len(tx.network.couplings)
+    for a, b in zip(saved.couplings, tx.network.couplings):
+        assert (a.src, a.dst) == (b.src, b.dst) and np.array_equal(a.A, b.A)
+    if command == "unplug":
+        assert np.array_equal(saved.subsystems["3"].A, delta["A_overrides"]["3"])
