@@ -6,6 +6,9 @@ is checked in one pass: a rectangular array of finite JSON numbers (never a
 boolean, string or null). A fault in a scenario (load steps included), in a
 plug or unplug delta or in a bundle exits 1 naming its JSON path; so does a
 file that cannot be read or written. Bundles are compact, key-sorted JSON.
+Design settings come from the scenario file alone (a bundle's from its
+embedded scenario); the online law is the run's: `simulate --mode`, else
+`simulation.mode`, else the scenario-wide `controller.mode`.
 Exit codes: 0 ok, 1 usage or input error, 2 design failure, 3 runtime
 infeasibility, 4 numerical failure of an online solve.
 """
@@ -25,7 +28,8 @@ from jsonschema import Draft202012Validator, ValidationError, validators
 
 from .controller import MpcConfig, TerminalData, TubeController, design_controller
 from .geometry import GeometryError, HPolytope, VAggregate, VPolytope
-from .model import Coupling, ModelError, Network, Subsystem, disturbance_set
+from .model import (Coupling, ModelError, Network, NotControllableError, Subsystem,
+                    controllability_index, disturbance_set)
 from .optim import STATUS_INFEASIBLE, blas_threads
 from .pnp import plug_in, unplug
 from .rci import DesignFailure, RciConfig, RciDesign
@@ -46,7 +50,8 @@ _POLY = {
     "required": ["C", "d"],
     "properties": {"C": _MATRIX, "d": _VECTOR, "vertices": _MATRIX},
 }
-_CONTROLLER = {
+#: a subsystem's own controller block: no mode, the online law is the run's
+_OWN_CONTROLLER = {
     "type": "object",
     "properties": {
         "horizon": {"type": "integer", "minimum": 1},
@@ -56,7 +61,6 @@ _CONTROLLER = {
                                {"type": "object", "required": ["S", "K", "Xf"],
                                 "properties": {"S": _MATRIX, "K": _MATRIX, "Xf": _POLY,
                                                "Xf_vertices": _MATRIX}}]},
-        "mode": {"enum": ["decentralized", "distributed"]},
         "cost": {"enum": ["quadratic", "l1"]},
         "k": {"type": "integer", "minimum": 1},
         "omega": {"type": "number", "exclusiveMinimum": 0},
@@ -64,6 +68,8 @@ _CONTROLLER = {
     },
     "additionalProperties": False,
 }
+_MODE = {"enum": ["decentralized", "distributed"]}
+_CONTROLLER = {**_OWN_CONTROLLER, "properties": {**_OWN_CONTROLLER["properties"], "mode": _MODE}}
 
 _ID = {"type": ["string", "integer"]}
 _SUBSYSTEM = {
@@ -75,7 +81,7 @@ _SUBSYSTEM = {
         "L": _MATRIX,
         "setpoint_state_gain": _VECTOR,
         "setpoint_input_gain": _VECTOR,
-        "controller": _CONTROLLER,
+        "controller": _OWN_CONTROLLER,
     },
 }
 _COUPLINGS = {
@@ -110,7 +116,7 @@ SCENARIO_SCHEMA = {
                                                    "time": {"type": "integer", "minimum": 0},
                                                    "value": {"type": "number"}}}},
                 "seed": {"type": "integer"},
-                "mode": {"enum": ["decentralized", "distributed"]},
+                "mode": _MODE,
             },
         },
     },
@@ -125,7 +131,7 @@ PLUG_SCHEMA = {
     "properties": {
         "add_subsystem": _SUBSYSTEM,
         "couplings": _COUPLINGS,
-        "controller": _CONTROLLER,
+        "controller": _OWN_CONTROLLER,
         "x0": _VECTOR,
     },
 }
@@ -362,14 +368,14 @@ class Scenario:
                          minimize_alpha=merged.get("minimize_alpha", False))
 
     def sim_config(self, mode: str | None = None, record_failure: bool = False) -> SimConfig:
+        """The run's settings; the online law is mode, else the scenario's."""
         simdoc = self.doc["simulation"]
         loads = [LoadStep(str(ls["id"]), int(ls["time"]), float(ls["value"]))
                  for ls in simdoc.get("loads", [])]
+        mode = mode or simdoc.get("mode") or self.doc["controller"].get("mode", "decentralized")
         return SimConfig(T=int(simdoc["T"]),
                          x0={str(k): np.asarray(v, dtype=float) for k, v in simdoc["x0"].items()},
-                         mode=mode or simdoc.get("mode", "decentralized"),
-                         loads=loads, seed=int(simdoc.get("seed", 0)),
-                         record_failure=record_failure)
+                         mode=mode, loads=loads, record_failure=record_failure)
 
 
 def _model_of(subsystems: list, couplings: list) -> tuple[list, list]:
@@ -420,7 +426,8 @@ def _design_to_dict(ctrl: TubeController) -> dict:
     }
 
 
-def _design_from_dict(sub: Subsystem, doc: dict, cfg: MpcConfig) -> TubeController:
+def _design_from_dict(sub: Subsystem, doc: dict, cfg: MpcConfig,
+                      rci_cfg: RciConfig) -> TubeController:
     z_blocks = [np.asarray(b, dtype=float) for b in doc["z_blocks"]]
     u_blocks = [np.asarray(b, dtype=float) for b in doc["u_blocks"]]
     rci = RciDesign(sub.id, float(doc["alpha"]), int(doc["k"]), int(doc["q"]),
@@ -432,7 +439,7 @@ def _design_from_dict(sub: Subsystem, doc: dict, cfg: MpcConfig) -> TubeControll
     return TubeController(sub, rci,
                           HPolytope(doc["Xhat"]["C"], doc["Xhat"]["d"]),
                           HPolytope(doc["V"]["C"], doc["V"]["d"]),
-                          cfg.resolved(sub.n, sub.m))
+                          cfg.resolved(sub.n, sub.m), rci_cfg)
 
 
 def bundle_to_dict(scenario: Scenario, controllers: dict, report: dict) -> dict:
@@ -464,7 +471,8 @@ def load_bundle(path) -> tuple[Scenario, dict, dict]:
         if sub is None:
             raise ScenarioError(f"unknown subsystem at $.controllers.{i}")
         try:
-            controllers[i] = _design_from_dict(sub, cdoc, scenario.controller_config(i))
+            controllers[i] = _design_from_dict(sub, cdoc, scenario.controller_config(i),
+                                               scenario.rci_config(i))
         except (ValueError, IndexError, TypeError) as e:
             raise ScenarioError(f"malformed design at $.controllers.{i}: {e}") from e
     return scenario, controllers, doc.get("report", {})
@@ -472,17 +480,14 @@ def load_bundle(path) -> tuple[Scenario, dict, dict]:
 
 # ------------------------------------------------------------------- commands
 
-def design_scenario(scenario: Scenario, overrides: dict | None = None):
+def design_scenario(scenario: Scenario):
     """Design every controller; returns (controllers, report, failures)."""
 
     def one(i):
         t0 = time.perf_counter()
-        rci_cfg = scenario.rci_config(i)
-        for key, value in (overrides or {}).items():
-            setattr(rci_cfg, key, value)
         result = design_controller(scenario.network.subsystems[i],
                                    disturbance_set(scenario.network, i),
-                                   rci_cfg, scenario.controller_config(i))
+                                   scenario.rci_config(i), scenario.controller_config(i))
         return i, result, time.perf_counter() - t0
 
     controllers, failures = {}, {}
@@ -518,14 +523,7 @@ def design_scenario(scenario: Scenario, overrides: dict | None = None):
 
 def cmd_design(args) -> int:
     scenario = load_scenario(args.scenario)
-    overrides = {}
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.omega is not None:
-        overrides["omega"] = args.omega
-    if args.minimize_alpha:
-        overrides["minimize_alpha"] = True
-    controllers, report, failures = design_scenario(scenario, overrides)
+    controllers, report, failures = design_scenario(scenario)
     if failures:
         for i, f in failures.items():
             print(f"design failed for subsystem {i}: {f.reason} "
@@ -654,6 +652,10 @@ def _check_unplug_delta(delta: dict, scenario: Scenario) -> tuple[str, dict]:
         if np.shape(A) != subs[sid].A.shape:
             raise ScenarioError(f"ill-shaped matrix at $.A_overrides.{sid}: "
                                 f"{np.shape(A)}, expected {subs[sid].A.shape}")
+        try:
+            controllability_index(A, subs[sid].B)
+        except NotControllableError as e:
+            raise ScenarioError(f"uncontrollable override at $.A_overrides.{sid}: {e}") from e
     return target, delta.get("A_overrides", {})
 
 
@@ -678,8 +680,9 @@ def _scenario_doc_without(doc: dict, target: str, overrides: dict) -> dict:
     out["couplings"] = [c for c in out["couplings"]
                         if str(c["from"]) != target and str(c["to"]) != target]
     out["simulation"]["x0"].pop(target, None)
-    out["simulation"]["loads"] = [ls for ls in out["simulation"].get("loads", [])
-                                  if str(ls["id"]) != target]
+    if "loads" in out["simulation"]:
+        out["simulation"]["loads"] = [ls for ls in out["simulation"]["loads"]
+                                      if str(ls["id"]) != target]
     return out
 
 
@@ -751,9 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("design", help="design all controllers for a scenario")
     d.add_argument("scenario")
     d.add_argument("-o", "--out", required=True)
-    d.add_argument("--k", type=int, default=None, help="override the step count")
-    d.add_argument("--omega", type=float, default=None, help="override the seed inflation")
-    d.add_argument("--minimize-alpha", action="store_true", dest="minimize_alpha")
     d.set_defaults(func=cmd_design)
 
     s = sub.add_parser("simulate", help="run the closed loop from a designed bundle")

@@ -111,7 +111,8 @@ class TerminalData:
 
 @dataclass
 class MpcConfig:
-    """Per-subsystem controller settings (weights default to identities)."""
+    """Per-subsystem controller settings (weights default to identities);
+    `mode` records the scenario's setting, the run picks the online law."""
 
     N: int = 10
     Q: np.ndarray | None = None
@@ -134,13 +135,14 @@ class MpcConfig:
 
 @dataclass
 class TubeController:
-    """Designed controller for one subsystem (immutable after design)."""
+    """Designed controller for one subsystem and its design settings (immutable)."""
 
     sub: Subsystem
     rci: RciDesign
     Xhat: HPolytope
     V: HPolytope
     cfg: MpcConfig
+    rci_cfg: RciConfig = field(default_factory=RciConfig)
 
     @property
     def id(self) -> str:
@@ -279,7 +281,7 @@ def design_controller(sub: Subsystem, W, rci_cfg: RciConfig | None = None,
         cfg.terminal.validate(sub.A, sub.B, cfg.Q, cfg.R, Xhat, V)
     except DesignError as e:
         return DesignFailure(sub.id, str(e))
-    return TubeController(sub, design, Xhat, V, cfg)
+    return TubeController(sub, design, Xhat, V, cfg, rci_cfg or RciConfig())
 
 
 def _setpoint_residual(sub: Subsystem, x_ref, u_ref, load_term) -> float:
@@ -490,12 +492,12 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
                  load_term=None) -> tuple[np.ndarray, StepDiagnostics]:
     """One controller evaluation: nominal solve plus invariance correction.
 
-    Distributed mode uses the predecessor-aware correction when every
-    predecessor state is available; otherwise it logs and falls back to the
-    decentralized law. Both laws are read off the explicit tube section when
-    it is available (the predecessor-aware law for one input only) and
-    solved as LPs otherwise. An infeasible nominal problem raises
-    InfeasibleStep with its status; a failed LP raises it with status
+    Given couplings (a distributed run), the predecessor-aware correction
+    serves when every predecessor state is available; otherwise it logs and
+    falls back to the decentralized law. Both laws are read off the explicit
+    tube section when it is available (the predecessor-aware law for one
+    input only) and solved as LPs otherwise. An infeasible nominal problem
+    raises InfeasibleStep with its status; a failed LP raises it with status
     "numerical-failure".
     """
     sol = solve_mpc(ctrl, x, x_ref=x_ref, u_ref=u_ref, load_term=load_term)
@@ -504,7 +506,7 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
     z = np.asarray(x, dtype=float) - sol.xhat0
     compiled = ctrl.compiled
     try:
-        if ctrl.cfg.mode == "distributed" and couplings:
+        if couplings:
             try:
                 u_z, mu, beta = compiled.successor_law(z, sol.v0, predecessor_states or {},
                                                        couplings, ctrl.sub.U)

@@ -5,7 +5,8 @@ and either return a committed (network, controllers) pair or a rejection
 that leaves the caller's objects untouched. Plugging in designs the new
 subsystem from predecessor data only, then redesigns exactly its successors;
 unplugging never requires redesign unless retained dynamics change or the
-caller opts into a performance retune.
+caller opts into a performance retune. Every redesign of a retained
+subsystem runs with the settings its controller was designed with.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class PnpTransaction:
 
 def plug_in(net: Network, controllers: dict, new_sub: Subsystem, new_couplings,
             mpc_cfg: MpcConfig, rci_cfg: RciConfig | None = None) -> PnpTransaction:
-    """Add a subsystem: design its controller from predecessor data, then
-    redesign exactly the successors whose disturbance grew. Any design
-    failure rejects the whole operation; controllers of unaffected
-    subsystems are reused as is."""
+    """Add a subsystem: design its controller from predecessor data with
+    (mpc_cfg, rci_cfg), then redesign exactly the successors whose disturbance
+    grew. Any design failure rejects the whole operation; controllers of
+    unaffected subsystems are reused as is."""
     new_id = str(new_sub.id)
     tx = PnpTransaction("plug", new_id)
     if new_id in net.subsystems:
@@ -70,19 +71,19 @@ def plug_in(net: Network, controllers: dict, new_sub: Subsystem, new_couplings,
         return tx
 
     tx.redesign_set = [new_id] + candidate.successors(new_id)
-    return _redesign_and_commit(tx, candidate, dict(controllers), rci_cfg, "design",
-                                new_cfg=mpc_cfg)
+    return _redesign_and_commit(tx, candidate, dict(controllers), "design",
+                                new=(mpc_cfg, rci_cfg))
 
 
 def _redesign_and_commit(tx: PnpTransaction, candidate: Network, controllers: dict,
-                         rci_cfg: RciConfig | None, verb: str,
-                         new_cfg: MpcConfig | None = None) -> PnpTransaction:
-    """Redesign tx.redesign_set on the candidate network with the old settings
-    (new_cfg for a plugged subsystem) into controllers, which holds the reused
-    ones; commit only if every new design passes the exact invariance
+                         verb: str, new: tuple | None = None) -> PnpTransaction:
+    """Redesign tx.redesign_set on the candidate network into controllers,
+    which holds the reused ones: each retained subsystem with the settings
+    its controller was designed with, a plugged one with new = (mpc_cfg,
+    rci_cfg). Commit only if every new design passes the exact invariance
     certificate: the identities of the solved LP plus the strict inclusions."""
     for i in tx.redesign_set:
-        cfg = new_cfg if i == tx.target else controllers[i].cfg
+        cfg, rci_cfg = new if i == tx.target else (controllers[i].cfg, controllers[i].rci_cfg)
         result = design_controller(candidate.subsystems[i], disturbance_set(candidate, i),
                                    rci_cfg, cfg)
         if isinstance(result, DesignFailure):
@@ -106,8 +107,7 @@ def _redesign_and_commit(tx: PnpTransaction, candidate: Network, controllers: di
 
 
 def unplug(net: Network, controllers: dict, target: str, policy: str = "none",
-           dynamics_overrides: dict | None = None,
-           rci_cfg: RciConfig | None = None) -> PnpTransaction:
+           dynamics_overrides: dict | None = None) -> PnpTransaction:
     """Remove a subsystem. Retained controllers stay valid because every
     disturbance set shrank, so the default policy redesigns nothing; the
     "performance" policy retunes the successors anyway. Subsystems whose
@@ -146,5 +146,4 @@ def unplug(net: Network, controllers: dict, target: str, policy: str = "none",
             tx.reason = f"invalid dynamics override for subsystem {i}: {e}"
             return tx
     return _redesign_and_commit(
-        tx, candidate, {i: c for i, c in controllers.items() if i != target}, rci_cfg,
-        "redesign")
+        tx, candidate, {i: c for i, c in controllers.items() if i != target}, "redesign")

@@ -51,7 +51,6 @@ class SimConfig:
     x0: dict
     mode: str = "decentralized"
     loads: list[LoadStep] = field(default_factory=list)
-    seed: int = 0
     record_failure: bool = False
 
     def __post_init__(self):
@@ -219,7 +218,7 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
             raise ValueError(f"no initial state for subsystem {i}")
         states[i] = np.asarray(cfg.x0[i], dtype=float).copy()
 
-    trace = SimTrace(ids, {"T": cfg.T, "mode": cfg.mode, "seed": cfg.seed,
+    trace = SimTrace(ids, {"T": cfg.T, "mode": cfg.mode,
                            "record_failure": cfg.record_failure})
     for ctrl in controllers.values():
         if isinstance(ctrl, TubeController):

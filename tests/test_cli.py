@@ -524,6 +524,8 @@ def test_ill_shaped_unplug_override_names_json_path(truck_paths, tmp_path, capsy
      "no retained subsystem at $.A_overrides.9"),
     ({"remove_subsystem": "1", "A_overrides": {"1": np.eye(2).tolist()}},
      "no retained subsystem at $.A_overrides.1"),
+    ({"remove_subsystem": "1", "A_overrides": {"2": [[1, 0], [0, 1]]}},
+     "uncontrollable override at $.A_overrides.2"),
 ])
 def test_unplug_delta_faults_name_the_delta_path(truck_paths, tmp_path, capsys, delta, path):
     _, bundle_path = truck_paths
@@ -534,6 +536,86 @@ def test_unplug_delta_faults_name_the_delta_path(truck_paths, tmp_path, capsys, 
     captured = capsys.readouterr()
     assert path in captured.err and "Traceback" not in captured.err
     assert captured.out == ""  # rejected before any transaction runs
+    assert not out.exists()
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload module, for its seeded plug delta."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_plug_then_performance_unplug_restores_the_bundle(truck_paths, tmp_path, capsys,
+                                                         workloads, k):
+    # exact oracle: unplugging the plugged truck returns the original network,
+    # and truck 2 is redesigned there with its own settings
+    scenario_path, bundle_path = truck_paths
+    delta, udelta = tmp_path / "plug.json", tmp_path / "unplug.json"
+    delta.write_text(json.dumps(workloads.third_truck_delta(5, k)))
+    udelta.write_text(json.dumps({"remove_subsystem": "3"}))
+    plugged, unplugged = tmp_path / "plugged.json", tmp_path / "unplugged.json"
+    assert main(["plug", str(delta), str(bundle_path), "-o", str(plugged)]) == EXIT_OK
+    assert main(["unplug", str(udelta), str(plugged), "-o", str(unplugged),
+                 "--policy", "performance"]) == EXIT_OK
+    base, out = (json.loads(p.read_text()) for p in (bundle_path, unplugged))
+    assert out["scenario"] == base["scenario"]
+    assert out["controllers"] == base["controllers"]
+    assert main(["simulate", str(scenario_path), str(unplugged)]) == EXIT_OK
+
+
+def test_plug_redesigns_a_successor_with_its_own_settings(tmp_path, capsys, workloads):
+    doc = truck_scenario(T=5)
+    doc["subsystems"][1]["controller"] = {"k": 3}
+    spath, bpath, dpath = tmp_path / "s.json", tmp_path / "b.json", tmp_path / "d.json"
+    spath.write_text(json.dumps(doc))
+    dpath.write_text(json.dumps(workloads.third_truck_delta(5, 0)))
+    assert main(["design", str(spath), "-o", str(bpath)]) == EXIT_OK
+    out = tmp_path / "plugged.json"
+    assert main(["plug", str(dpath), str(bpath), "-o", str(out)]) == EXIT_OK
+    _, controllers, _ = load_bundle(out)
+    assert controllers["2"].rci.k == 3 and controllers["2"].rci_cfg.k == 3
+    assert controllers["3"].rci.k == 2
+
+
+def test_mode_flag_picks_the_online_law(tmp_path, capsys):
+    spath, bpath = tmp_path / "s.json", tmp_path / "b.json"
+    spath.write_text(json.dumps(truck_scenario(T=3)))  # x0: (0, 0) and (3, 0)
+    assert main(["design", str(spath), "-o", str(bpath)]) == EXIT_OK
+    first_u1 = {}
+    for mode in ("distributed", None):
+        trace_path = tmp_path / f"{mode}.json"
+        flag = ["--mode", mode] if mode else []
+        assert main(["simulate", str(spath), str(bpath), "--trace", str(trace_path),
+                     *flag]) == EXIT_OK
+        first_u1[mode] = SimTrace.from_json(trace_path).data["1"]["u"][0][0]
+    # truck 2 at +3 pulls truck 1 forward: only the predecessor-aware law answers
+    assert first_u1["distributed"] == pytest.approx(-0.012, abs=1e-3)
+    assert first_u1[None] == 0.0
+
+
+def test_mode_in_a_subsystem_block_names_its_path(tmp_path, capsys):
+    doc = truck_scenario(T=5)
+    doc["subsystems"][0]["controller"] = {"mode": "distributed"}
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["design", str(spath), "-o", str(tmp_path / "b.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "at $.subsystems[0].controller" in err and "'mode'" in err
+
+
+@pytest.mark.parametrize("where, path", [("controller", "$.controller"),
+                                         ("add_subsystem.controller",
+                                          "$.add_subsystem.controller")])
+def test_mode_in_a_plug_delta_names_its_path(truck_paths, tmp_path, capsys, where, path):
+    _, bundle_path = truck_paths
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(_third_truck(**{where: {"mode": "distributed"}})))
+    out = tmp_path / "out.json"
+    assert main(["plug", str(dpath), str(bundle_path), "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"at {path}:" in err and "'mode'" in err
     assert not out.exists()
 
 

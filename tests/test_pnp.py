@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tubenet import pnp
+from tubenet import pnp, rci
 from tubenet.controller import MpcConfig
 from tubenet.model import Coupling, Network, Subsystem, discretize_exact
 from tubenet.geometry import HPolytope, VAggregate, VPolytope
@@ -207,3 +207,22 @@ def test_unplug_rejects_ill_shaped_override(truck_network, truck_controllers):
     assert "subsystem 2" in tx.reason
     assert controllers_fingerprint(truck_controllers) == before
     assert (len(truck_network.couplings), sorted(truck_network.ids)) == before_net
+
+
+def test_performance_unplug_redesigns_with_the_original_settings(
+        truck_network, truck_controllers, monkeypatch):
+    sub, coups = third_truck()
+    plugged = plug_in(truck_network, truck_controllers, sub, coups,
+                      truck_mpc_cfg(), RciConfig(minimize_alpha=True))
+    assert plugged.committed, plugged.reason
+    calls = []
+    solve = rci.solve_lp
+    monkeypatch.setattr(rci, "solve_lp", lambda *a: calls.append(a) or solve(*a))
+    tx = unplug(plugged.network, plugged.controllers, "3", policy="performance")
+    assert tx.committed, tx.reason
+    assert tx.redesign_set == ["2"] and len(calls) == 1
+    old, new = truck_controllers["2"], tx.controllers["2"]
+    assert new.rci_cfg == old.rci_cfg and new.rci.alpha == old.rci.alpha == 0.0
+    for a, b in ((old.rci.z_blocks, new.rci.z_blocks), (old.rci.u_blocks, new.rci.u_blocks),
+                 ([old.Xhat.C, old.Xhat.d, old.V.d], [new.Xhat.C, new.Xhat.d, new.V.d])):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
