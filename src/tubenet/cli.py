@@ -378,18 +378,24 @@ class Scenario:
                          mode=mode, loads=loads, record_failure=record_failure)
 
 
-def _model_of(subsystems: list, couplings: list) -> tuple[list, list]:
-    """The Subsystem and Coupling objects of checked scenario or delta entries."""
+def _model_of(subsystems: list, couplings: list, paths: list) -> tuple[list, list]:
+    """The Subsystem and Coupling objects of checked scenario or delta
+    entries; a subsystem the model rejects (an uncontrollable pair) is named
+    at its entry's JSON path in paths."""
+    subs = []
+    for s, path in zip(subsystems, paths):
+        try:
+            subs.append(Subsystem(str(s["id"]), s["A"], s["B"],
+                                  HPolytope(s["X"]["C"], s["X"]["d"]),
+                                  HPolytope(s["U"]["C"], s["U"]["d"]),
+                                  x_vertices=None if "vertices" not in s["X"]
+                                  else VPolytope(s["X"]["vertices"]),
+                                  L=s.get("L"),
+                                  setpoint_state_gain=s.get("setpoint_state_gain"),
+                                  setpoint_input_gain=s.get("setpoint_input_gain")))
+        except (ModelError, GeometryError) as e:
+            raise ScenarioError(f"invalid subsystem at {path}: {e}") from e
     try:
-        subs = [Subsystem(str(s["id"]), s["A"], s["B"],
-                          HPolytope(s["X"]["C"], s["X"]["d"]),
-                          HPolytope(s["U"]["C"], s["U"]["d"]),
-                          x_vertices=None if "vertices" not in s["X"]
-                          else VPolytope(s["X"]["vertices"]),
-                          L=s.get("L"),
-                          setpoint_state_gain=s.get("setpoint_state_gain"),
-                          setpoint_input_gain=s.get("setpoint_input_gain"))
-                for s in subsystems]
         return subs, [Coupling(str(c["from"]), str(c["to"]), c["A"]) for c in couplings]
     except (ModelError, GeometryError) as e:
         raise ScenarioError(str(e)) from e
@@ -397,7 +403,8 @@ def _model_of(subsystems: list, couplings: list) -> tuple[list, list]:
 
 def scenario_from_dict(doc: dict, root: str = "$") -> Scenario:
     validate_scenario(doc, root)
-    net = Network(*_model_of(doc["subsystems"], doc["couplings"]))  # ids and links checked
+    paths = [f"{root}.subsystems[{i}]" for i in range(len(doc["subsystems"]))]
+    net = Network(*_model_of(doc["subsystems"], doc["couplings"], paths))  # ids and links checked
     return Scenario(doc=doc, network=net, ts=float(doc["sampling_time"]))
 
 
@@ -612,7 +619,8 @@ def cmd_plug(args) -> int:
     _check_plug_delta(delta, scenario)
     # the settings are read off the document alone; the network is the transaction's
     plugged = Scenario(_scenario_doc_with(scenario.doc, delta), scenario.network, scenario.ts)
-    (sub,), coups = _model_of(plugged.doc["subsystems"][-1:], delta.get("couplings", []))
+    (sub,), coups = _model_of(plugged.doc["subsystems"][-1:], delta.get("couplings", []),
+                              ["$.add_subsystem"])
     tx = plug_in(scenario.network, controllers, sub, coups,
                  plugged.controller_config(sub.id), plugged.rci_config(sub.id))
     return _report_transaction(tx, plugged.doc, scenario.ts, args.out)

@@ -208,9 +208,10 @@ class CompiledController:
         if self.section is None:
             cert = member_aggregate(self.rci.z_set(), dev)
             return [np.asarray(b, dtype=float) for b in cert.beta] if cert.feasible else None
-        if self.section.gauge(dev) > 1.0 + SHORTCUT_TOL:
+        hz = self.section.H @ dev
+        if hz.max() > 1.0 + SHORTCUT_TOL:
             return None
-        _, mu, beta = self.section.law(dev)
+        mu, beta, _ = self.section.decompose(dev, hz)
         beta = beta.reshape(self.rci.k, self.rci.q)
         beta[:, 0] += max(1.0 - mu, 0.0)  # the rest on each block's origin vertex
         return list(beta)

@@ -8,7 +8,15 @@ vertex per block, so it carries its paired input sum u(p) and a unit
 coefficient per block. On each simplicial cone of the triangulated boundary
 the law is then linear, u = U_j P_j^{-1} z, and the cone's coefficients
 lambda recover an optimal LP solution beta = sum_j lambda_j e(p_j), as in
-explicit MPC (Bemporad, Morari, Dua & Pistikopoulos 2002).
+explicit MPC (Bemporad, Morari, Dua & Pistikopoulos 2002). The cone holding
+z lies on the facet that attains the gauge, so only that facet's cones are
+tested.
+
+For one input, the least gauge of the successor c + B u over all u is the
+gauge of c in Z projected along B, max_i eta_i'N'c over the facet rows eta
+of the hull of N'Z, N an orthonormal basis of the complement of B. The
+predecessor-aware law takes the input of least magnitude among the
+minimizers in U - v, read off the level band of that minimum.
 
 `build_section` returns None when qhull fails or the build would exceed the
 fixed caps below; the LPs then serve the online path. The predecessor-aware
@@ -42,23 +50,25 @@ TIE_TOL = 1e-12
 class TubeSection:
     """Vertices, facet rows and boundary cones of one controller's Z."""
 
-    def __init__(self, vertices, inputs, picks, facets, simplices, k, q, B):
+    def __init__(self, vertices, inputs, picks, facets, simplices, facet_of, k, q, B, proj):
         self.vertices = vertices      # (p, n) hull vertices of Z
         self.inputs = inputs          # (p, m) paired input sums u(p)
         self.H = facets               # (r, n): Z = {z : H z <= 1}
-        self.simplices = simplices    # (s, n) vertex indices of the boundary cones
+        order = np.argsort(facet_of, kind="stable")
+        self.simplices = simplices[order]  # (s, n) vertex indices of the boundary cones
+        # the cones on facet f are rows starts[f]:starts[f + 1], in facet order
+        self._starts = [0, *np.cumsum(np.bincount(facet_of, minlength=facets.shape[0])).tolist()]
         self.k, self.q = k, q
         self.n = vertices.shape[1]
-        self.cones = vertices[simplices].transpose(0, 2, 1)  # columns are vertices
+        self.cones = vertices[self.simplices].transpose(0, 2, 1)  # columns are vertices
         self._inv = np.linalg.inv(self.cones)
-        # lambda_i = (P_j^{-1} z)_i for every cone j at once: row i * s + j
-        self._inv_rows = self._inv.transpose(1, 0, 2).reshape(-1, self.n)
         # per vertex: its unit beta (one pick per block), then its input sum
         onehot = np.zeros((vertices.shape[0], k * q))
         np.put_along_axis(onehot, picks + q * np.arange(k), 1.0, axis=1)
         self._mix = np.hstack([onehot, inputs])
         self.B = B
         self.HB = facets @ B              # (r, m): facet rows seen by the input
+        self._proj = proj                 # one input: min_u gauge(c + B u) = max(proj c, 0)
 
     @property
     def sizes(self) -> dict:
@@ -66,18 +76,22 @@ class TubeSection:
                 "simplices": int(self.simplices.shape[0]),
                 "facets": int(self.H.shape[0])}
 
-    def gauge(self, z) -> float:
-        """min {mu >= 0 : z in mu Z}, the optimal value of the invariance LP."""
-        return float(np.max(self.H @ z))
-
-    def decompose(self, z) -> tuple[float, np.ndarray, np.ndarray]:
+    def decompose(self, z, hz=None) -> tuple[float, np.ndarray, np.ndarray]:
         """(mu, beta, u): beta >= 0, every per-block sum equals mu,
-        sigma Z beta = z, and u = sigma U beta."""
-        # the cones tile space, so the one containing z has the largest
-        # least coefficient (>= 0 up to rounding)
-        lam_all = (self._inv_rows @ z).reshape(self.n, -1)
-        j = int(np.argmax(lam_all.min(axis=0)))
-        lam = lam_all[:, j]
+        sigma Z beta = z, and u = sigma U beta; exact zeros at z = 0.
+        hz = H z when the caller has it."""
+        if hz is None:
+            hz = self.H @ z
+        f = int(np.argmax(hz))
+        if not hz[f] > 0.0:  # z = 0: Z is bounded, so any other z has some h_i'z > 0
+            return 0.0, np.zeros(self.k * self.q), np.zeros(self.inputs.shape[1])
+        # the cones of facet f tile the cone over it, so the one containing z
+        # has the largest least coefficient (>= 0 up to rounding)
+        lo, hi = self._starts[f], self._starts[f + 1]
+        lam = self._inv[lo:hi] @ z
+        # a facet with one cone (every facet of a polygon) needs no comparison
+        j = lo if hi - lo == 1 else lo + int(np.argmax(lam.min(axis=1)))
+        lam = lam[j - lo]
         lam = np.maximum(lam + self._inv[j] @ (z - self.cones[j] @ lam), 0.0)  # one refinement
         out = lam @ self._mix[self.simplices[j]]
         kq = self.k * self.q
@@ -86,71 +100,47 @@ class TubeSection:
     def law(self, z) -> tuple[np.ndarray, float, np.ndarray]:
         """Decentralized invariance law: (u, mu, beta), an optimal solution of
         the invariance LP; exact zeros at z = 0."""
-        if not np.any(z):
-            return np.zeros(self.inputs.shape[1]), 0.0, np.zeros(self.k * self.q)
         mu, beta, u = self.decompose(z)
         return u, mu, beta
 
     def successor_law(self, c, U, v):
         """Predecessor-aware law for one input: the u in U - v minimizing
-        the gauge of the successor c + B u (a convex piecewise-linear
-        minimization, ties broken to the least |u|), with (mu, beta) of that
-        successor. None for more inputs, or when the search fails; the
-        caller then keeps the full LP."""
-        if self.HB.shape[1] != 1:
+        the gauge of the successor c + B u (ties broken to the least |u|),
+        with (mu, beta) of that successor. None for more inputs, or when
+        U - v or the band of minimizers is empty; the caller then keeps the
+        full LP."""
+        if self._proj is None:
             return None
-        u = _min_max_lines(self.H @ c, self.HB[:, 0], U.C[:, 0], U.d - U.C @ v)
+        a, b = self.H @ c, self.HB[:, 0]
+        g = float(np.max(self._proj @ c, initial=0.0))
+        u = _least_magnitude(a, b, g, U.C[:, 0], U.d - U.C @ v)
         if u is None:
             return None
-        mu, beta, _ = self.decompose(c + self.B @ u)
+        mu, beta, _ = self.decompose(c + self.B @ u, a + b * u)
         return u, mu, beta
 
 
-def _min_max_lines(a, b, cu, rhs):
-    """argmin over {u : cu u <= rhs} of g(u) = max_i a_i + b_i u, the
-    minimizer of least |u|; None when the interval is empty or the kink
-    search does not close."""
+def _least_magnitude(a, b, g, cu, rhs):
+    """The minimizer of least |u| over {u : cu u <= rhs} of max_i a_i + b_i u,
+    given g, its minimum over all u; None when the interval or the level
+    band is empty."""
     lo = float(np.max(rhs[cu < 0] / cu[cu < 0], initial=-np.inf))
     hi = float(np.min(rhs[cu > 0] / cu[cu > 0], initial=np.inf))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         return None
+    u1, u2 = _level_band(a, b, g)
+    if u2 < lo or u1 > hi:  # the minimum over [lo, hi] is at the bound next to the band
+        u1, u2 = _level_band(a, b, float(np.max(a + b * (lo if u2 < lo else hi))))
+    u1, u2 = max(u1, lo), min(u2, hi)
+    return np.array([min(max(0.0, u1), u2)]) if u1 <= u2 else None
 
-    def at(u):
-        """The active lines at u of least and greatest slope."""
-        vals = a + b * u
-        g = vals.max()
-        act = vals >= g - TIE_TOL * (1.0 + abs(g))
-        return np.where(act, b, np.inf).argmin(), np.where(act, b, -np.inf).argmax()
 
-    # bracket: the envelope falls to the right of lo and rises to the left of hi
-    _, left = at(lo)
-    if b[left] >= 0:
-        best = lo
-    else:
-        right, _ = at(hi)
-        if b[right] <= 0:
-            best = hi
-        else:
-            for _ in range(a.shape[0] + 1):
-                u = (a[left] - a[right]) / (b[right] - b[left])
-                fall, rise = at(u)
-                if b[fall] <= 0 <= b[rise]:
-                    best = u
-                    break
-                if b[rise] < 0:
-                    left = rise
-                else:
-                    right = fall
-            else:
-                return None
-    # every minimizer within the tie tolerance, then the one nearest zero
-    g = float(np.max(a + b * best))
+def _level_band(a, b, g):
+    """{u : max_i a_i + b_i u <= g}, within the tie tolerance, as (u1, u2)."""
     level = g + TIE_TOL * (1.0 + abs(g))
     neg, pos = b < 0, b > 0
-    u1 = max(lo, float(np.max((level - a[neg]) / b[neg], initial=-np.inf)))
-    u2 = min(hi, float(np.min((level - a[pos]) / b[pos], initial=np.inf)))
-    u = min(max(0.0, u1), u2) if u1 <= u2 else best
-    return np.array([u])
+    return (float(np.max((level - a[neg]) / b[neg], initial=-np.inf)),
+            float(np.min((level - a[pos]) / b[pos], initial=np.inf)))
 
 
 def build_section(rci) -> TubeSection | None:
@@ -166,25 +156,42 @@ def build_section(rci) -> TubeSection | None:
         verts, picks, hull = minkowski_hull(blocks, MAX_POINTS)
     except GeometryError:
         return None
-    boundary = _interval(verts) if hull is None else _boundary(verts, hull)
+    boundary = _facets(verts, hull)
     if boundary is None:
         return None
-    facets, simplices = boundary
+    B = np.asarray(rci.B, dtype=float)
     inputs = sum(rci.sigma * np.asarray(u, dtype=float)[picks[:, s]]
                  for s, u in enumerate(rci.u_blocks))
-    return TubeSection(verts, inputs, picks, facets, simplices, len(blocks),
-                       blocks[0].shape[0], np.asarray(rci.B, dtype=float))
+    return TubeSection(verts, inputs, picks, *boundary, len(blocks), blocks[0].shape[0],
+                       B, _projected_rows(verts, B))
 
 
-def _interval(verts):
-    """n = 1: Z is the interval [lo, hi] of the two vertices."""
-    if not verts[0, 0] < 0 < verts[1, 0]:
+def _projected_rows(verts, B):
+    """One input: the facet rows eta of the hull of N'Z, N an orthonormal
+    basis of the complement of B, as eta N' (none for n = 1, where B spans
+    the space). None for more inputs or when the projected hull fails."""
+    if B.shape[1] != 1:
         return None
-    return 1.0 / verts, np.array([[0], [1]])
+    N = np.linalg.qr(B, mode="complete")[0][:, 1:]
+    if N.shape[1] == 0:
+        return np.zeros((0, B.shape[0]))
+    try:
+        pverts, _, hull = minkowski_hull([verts @ N])
+    except GeometryError:
+        return None
+    facets = _facets(pverts, hull)
+    return None if facets is None else facets[0] @ N.T
 
 
-def _boundary(verts, hull):
-    """Merged facet rows {h'z <= 1} and the non-flat boundary simplices."""
+def _facets(verts, hull):
+    """Merged facet rows {h'z <= 1}, the non-flat boundary simplices, and the
+    row each simplex lies on; None when the origin is not interior or a
+    facet keeps no simplex. hull is None for n = 1: Z is the interval of
+    the two vertices."""
+    if hull is None:
+        if not verts[0, 0] < 0 < verts[1, 0]:
+            return None
+        return 1.0 / verts, np.array([[0], [1]]), np.array([0, 1])
     offsets = hull.equations[:, -1]
     if np.max(offsets) >= 0 or hull.simplices.shape[0] > MAX_SIMPLICES:
         return None
@@ -193,8 +200,11 @@ def _boundary(verts, hull):
     renum[np.sort(hull.vertices)] = np.arange(verts.shape[0])
     simplices = renum[hull.simplices]
     rows = hull.equations[:, :-1] / -offsets[:, None]
-    _, first = np.unique(np.round(rows, 9), axis=0, return_index=True)
+    _, first, facet_of = np.unique(np.round(rows, 9), axis=0, return_index=True,
+                                   return_inverse=True)
     cone = verts[simplices]
     scale = np.prod(np.linalg.norm(cone, axis=2), axis=1)
-    flat = np.abs(np.linalg.det(cone)) <= FLAT_TOL * scale
-    return rows[np.sort(first)], simplices[~flat]
+    keep = np.abs(np.linalg.det(cone)) > FLAT_TOL * scale
+    if np.bincount(facet_of[keep], minlength=first.shape[0]).min() == 0:
+        return None
+    return rows[first], simplices[keep], facet_of[keep]

@@ -10,13 +10,13 @@ TRUCK_R = np.array([[1.0]])
 TRUCK_N = 25  # the tightened velocity bound needs ~20 steps to cross the arena
 
 
-def design_truck_controllers(net, mode="decentralized"):
+def design_truck_controllers(net):
     ctrls = {}
     for i in net.ids:
         ctrl = design_controller(
             net.subsystems[i], disturbance_set(net, i),
             RciConfig(minimize_alpha=True),
-            MpcConfig(N=TRUCK_N, Q=TRUCK_Q, R=TRUCK_R, mode=mode))
+            MpcConfig(N=TRUCK_N, Q=TRUCK_Q, R=TRUCK_R))
         assert not isinstance(ctrl, DesignFailure), ctrl
         ctrls[i] = ctrl
     return ctrls
@@ -30,11 +30,6 @@ def truck_network():
 @pytest.fixture(scope="session")
 def truck_controllers(truck_network):
     return design_truck_controllers(truck_network)
-
-
-@pytest.fixture(scope="session")
-def truck_controllers_distributed(truck_network):
-    return design_truck_controllers(truck_network, mode="distributed")
 
 
 def design_power(topology=None):

@@ -178,8 +178,7 @@ def test_criterion_5_homogeneity(truck_controllers):
            f"max deviation={worst:.2e} zero-exact={zero_exact}")
 
 
-def test_criterion_6_closed_loop_stability(truck_network, truck_controllers,
-                                           truck_controllers_distributed):
+def test_criterion_6_closed_loop_stability(truck_network, truck_controllers):
     cfg = SimConfig(T=150, x0={"1": [0.0, 0.0], "2": [3.0, 0.0]})
     tr = run(truck_network, truck_controllers, cfg)
     final = max(np.abs(tr.final_x[i]).max() for i in ("1", "2"))
@@ -187,7 +186,7 @@ def test_criterion_6_closed_loop_stability(truck_network, truck_controllers,
     u1_dec = tr.data["1"]["u"][0][0]
 
     cfg_dis = SimConfig(T=3, x0={"1": [0.0, 0.0], "2": [3.0, 0.0]}, mode="distributed")
-    tr_dis = run(truck_network, truck_controllers_distributed, cfg_dis)
+    tr_dis = run(truck_network, truck_controllers, cfg_dis)
     u1_dis = tr_dis.data["1"]["u"][0][0]
     # truck 2 sits at +3: the spring/damper pulls truck 1 forward, so the
     # anticipating correction must push backward

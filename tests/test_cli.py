@@ -746,6 +746,25 @@ def test_plug_delta_faults_name_the_delta_path(truck_paths, tmp_path, capsys, ch
     assert not out.exists()
 
 
+def test_uncontrollable_subsystem_names_its_path(truck_paths, tmp_path, capsys):
+    # A = I with B = e2: the position is unreachable, in a scenario and in a plug delta
+    doc = truck_scenario(T=5)
+    doc["subsystems"][1]["A"] = [[1.0, 0.0], [0.0, 1.0]]
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["design", str(spath), "-o", str(tmp_path / "b.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "at $.subsystems[1]: " in err and "not controllable" in err
+    _, bundle_path = truck_paths
+    dpath = tmp_path / "delta.json"
+    dpath.write_text(json.dumps(_third_truck(**{"add_subsystem.A": [[1.0, 0.0], [0.0, 1.0]]})))
+    out = tmp_path / "out.json"
+    assert main(["plug", str(dpath), str(bundle_path), "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "at $.add_subsystem: " in err and "not controllable" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_plug_delta_checked_against_inherited_weights(truck_paths, tmp_path, capsys):
     # the trucks' scenario-wide Q is 2 x 2: a 3-state subsystem cannot inherit it
     _, bundle_path = truck_paths

@@ -217,12 +217,12 @@ def test_kappa_dis_all_zero(truck_network, truck_controllers):
     assert np.allclose(u_z, 0.0, atol=1e-9)
 
 
-def test_kappa_dis_counteracts_coupling(truck_network, truck_controllers_distributed):
+def test_kappa_dis_counteracts_coupling(truck_network, truck_controllers):
     # x1 = 0, x2 displaced: the predecessor-aware law acts on subsystem 1
     # while the decentralized one stays silent; the reported value is -0.012
     net = truck_network
     states = {"1": np.zeros(2), "2": np.array([3.0, 0.0])}
-    u1, diag1 = step_control(truck_controllers_distributed["1"], states["1"],
+    u1, diag1 = step_control(truck_controllers["1"], states["1"],
                              predecessor_states=states, couplings=net.predecessors("1"))
     assert diag1.kappa_mode == "distributed"
     assert u1[0] < 0  # opposes the positive spring/damper pull
@@ -249,9 +249,9 @@ def test_kappa_dis_missing_predecessor_raises(truck_network, truck_controllers):
                            net.predecessors("2"), ctrl.sub.U)
 
 
-def test_step_control_falls_back_without_states(truck_network, truck_controllers_distributed):
+def test_step_control_falls_back_without_states(truck_network, truck_controllers):
     net = truck_network
-    u, diag = step_control(truck_controllers_distributed["1"], np.zeros(2),
+    u, diag = step_control(truck_controllers["1"], np.zeros(2),
                            predecessor_states={}, couplings=net.predecessors("1"))
     assert diag.kappa_mode == "fallback"
     assert np.array_equal(u, np.zeros(1))

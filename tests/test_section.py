@@ -2,11 +2,14 @@
 
 Property tests draw points from the tube section, from its boundary facets
 and at its vertices, scaled by rho in [0, 3], on the truck, power-4,
-mass 4x4 and a one-dimensional design. The sampled oracles of `tubenet
-check` also run on truck designs compiled without a section, where the
-LPs serve.
+mass 4x4 and a one-dimensional design. Oracle tests hold the facet-indexed
+cone lookup to an all-cone scan, and the projected minimum of the successor
+gauge to a brute-force minimum over pairs of lines. The sampled oracles of
+`tubenet check` also run on truck designs compiled without a section, where
+the LPs serve.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +32,7 @@ from tubenet.geometry import HPolytope, VAggregate, VPolytope, member_aggregate
 from tubenet.model import Subsystem
 from tubenet.rci import DesignFailure, RciConfig
 from tubenet.scenarios import mass_scenario
-from tubenet.section import TubeSection, _min_max_lines
+from tubenet.section import TubeSection, _least_magnitude
 from tubenet.verify import homogeneity_report, rci_certificate, vertex_invariance_report
 
 from conftest import design_truck_controllers
@@ -105,7 +108,7 @@ def test_law_is_an_optimal_kappa_lp_solution(designs, name, data):
     _, mu_lp, _ = kappa_bar_full(rci, z)
     tol = 1e-9 * max(1.0, mu_lp)
     assert abs(mu - mu_lp) <= tol
-    assert abs(sec.gauge(z) - mu_lp) <= tol
+    assert abs(np.max(sec.H @ z) - mu_lp) <= tol
     zmat, umat = mixing_matrices(rci)
     assert beta.min() >= -1e-12
     assert np.allclose(beta.reshape(rci.k, rci.q).sum(axis=1), mu, rtol=0, atol=1e-12 * max(1, mu))
@@ -130,9 +133,13 @@ def test_law_is_homogeneous(designs, name, data):
 @pytest.mark.parametrize("name", DESIGNS)
 def test_law_at_zero_is_exactly_zero(designs, name):
     for ctrl in designs[name]:
-        u, mu, beta = ctrl.compiled.section.law(np.zeros(ctrl.sub.n))
+        sec = ctrl.compiled.section
+        u, mu, beta = sec.law(np.zeros(ctrl.sub.n))
         assert mu == 0.0 and not np.any(u) and not np.any(beta)
         assert u.shape == (ctrl.sub.m,) and beta.shape == (ctrl.rci.k * ctrl.rci.q,)
+        # a zero successor handed with its facet product, as the successor law does
+        mu, beta, u = sec.decompose(np.zeros(ctrl.sub.n), np.zeros(sec.H.shape[0]))
+        assert mu == 0.0 and not np.any(u) and not np.any(beta)
 
 
 # ------------------------------------------------------------ distributed law
@@ -170,15 +177,135 @@ def test_successor_law_matches_the_distributed_lp(designs, name, data):
 def test_one_input_minimizer_of_least_magnitude():
     # g(u) = max(1 - u, 0, u - 2) is flat on [1, 2]; shifted, flat on [-1, 1]
     box = np.array([1.0, -1.0]), np.array([5.0, 5.0])
-    flat = _min_max_lines(np.array([1.0, 0.0, -2.0]), np.array([-1.0, 0.0, 1.0]), *box)[0]
+    flat = _least_magnitude(np.array([1.0, 0.0, -2.0]), np.array([-1.0, 0.0, 1.0]), 0.0, *box)[0]
     assert flat == pytest.approx(1.0, abs=1e-11)  # within the tie tolerance
-    assert _min_max_lines(np.array([-1.0, 0.0, -1.0]), np.array([-1.0, 0.0, 1.0]), *box)[0] == 0.0
-    # a unique kink at 0.25, and the bound when the kink lies outside
+    assert _least_magnitude(np.array([-1.0, 0.0, -1.0]), np.array([-1.0, 0.0, 1.0]), 0.0,
+                            *box)[0] == 0.0
+    # a unique kink at 0.125 (g* = 0.25), and the bound when the kink lies outside
     lines = np.array([0.5, 0.0]), np.array([-2.0, 2.0])
-    assert _min_max_lines(*lines, *box)[0] == pytest.approx(0.125)
-    capped = _min_max_lines(*lines, np.array([1.0, -1.0]), np.array([0.1, 5.0]))[0]
+    assert _least_magnitude(*lines, 0.25, *box)[0] == pytest.approx(0.125)
+    capped = _least_magnitude(*lines, 0.25, np.array([1.0, -1.0]), np.array([0.1, 5.0]))[0]
     assert capped == pytest.approx(0.1, abs=1e-11)
-    assert _min_max_lines(*lines, np.array([1.0, -1.0]), np.array([-1.0, -2.0])) is None
+    assert _least_magnitude(*lines, 0.25, np.array([1.0, -1.0]), np.array([-1.0, -2.0])) is None
+
+
+# ------------------------------------------------------------ lookup oracles
+
+def scan_decompose(sec, inv, z):
+    """Reference lookup: test every boundary cone (inv holds their inverses),
+    not only those on the facet that attains the gauge."""
+    kq = sec.k * sec.q
+    if not np.any(z):
+        return 0.0, np.zeros(kq), np.zeros(sec.inputs.shape[1])
+    lam_all = inv @ z
+    j = int(np.argmax(lam_all.min(axis=1)))
+    lam = lam_all[j]
+    lam = np.maximum(lam + inv[j] @ (z - sec.cones[j] @ lam), 0.0)
+    out = lam @ sec._mix[sec.simplices[j]]
+    return float(lam.sum()), out[:kq], out[kq:]
+
+
+def ridge_points(sec, rng, count=40):
+    """Midpoints of boundary edges that lie in cones of two facets."""
+    facet_of = np.repeat(np.arange(sec.H.shape[0]), np.diff(sec._starts))
+    facets = {}
+    for simplex, f in zip(sec.simplices, facet_of):
+        for edge in itertools.combinations(sorted(simplex), 2):
+            facets.setdefault(edge, set()).add(f)
+    shared = [edge for edge, fs in facets.items() if len(fs) > 1]
+    picked = rng.permutation(len(shared))[:count]
+    return [sec.vertices[list(shared[e])].mean(axis=0) for e in picked]
+
+
+def lookup_points(ctrl, rng):
+    """Members, facet points, vertices, ridge points (each at three scales)
+    and the origin."""
+    sec = ctrl.compiled.section
+    points = [ctrl.rci.z_set().sample(rng) for _ in range(20)]
+    for simplex in sec.simplices[rng.integers(sec.simplices.shape[0], size=20)]:
+        weights = rng.random(simplex.shape[0])
+        points.append(weights @ sec.vertices[simplex] / weights.sum())
+    points += list(sec.vertices) + ridge_points(sec, rng)
+    return [rho * z for z in points for rho in (0.3, 1.0, 2.5)] + [np.zeros(sec.n)]
+
+
+@pytest.mark.parametrize("name", DESIGNS)
+def test_facet_lookup_matches_the_all_cone_scan(designs, name):
+    """Inside a cone both lookups pick it; at vertices and ridge points, which
+    several cones hold, they may pick different ones, and the coefficients
+    then differ by rounding (up to 1.1e-12 on power-4, whose cones have
+    condition numbers up to 2e6)."""
+    rng = np.random.default_rng(11)
+    for ctrl in designs[name]:
+        sec = ctrl.compiled.section
+        inv = np.linalg.inv(sec.cones)
+        for z in lookup_points(ctrl, rng):
+            mu, beta, u = sec.decompose(z)
+            mu_ref, beta_ref, u_ref = scan_decompose(sec, inv, z)
+            tol = 2e-12 * max(1.0, mu_ref)
+            assert abs(mu - mu_ref) <= tol
+            assert np.abs(beta - beta_ref).max() <= tol
+            assert np.abs(u - u_ref).max(initial=0.0) <= tol
+            hz = sec.H @ z  # the product a caller shares gives the same result
+            assert all(np.array_equal(a, b) for a, b in zip((mu, beta, u), sec.decompose(z, hz)))
+
+
+def pairwise_min_max(a, b):
+    """min over u of max_i a_i + b_i u, by brute force: the envelope at every
+    crossing of a falling line with a rising one (one of them is a minimizer
+    when both slopes occur)."""
+    rising, falling = b > 0, np.nonzero(b < 0)[0]
+    best = np.inf
+    for block in np.array_split(falling, max(1, falling.size // 16)):
+        u = (a[block, None] - a[rising]) / (b[rising] - b[block, None])
+        best = min(best, np.max(a[:, None, None] + b[:, None, None] * u, axis=0).min())
+    return float(best)
+
+
+def envelope(a, b, u):
+    return float(np.max(a + b * u))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_least_magnitude_minimizes_on_random_lines(seed):
+    """Given the pairwise g*, the helper returns a minimizer over [lo, hi]
+    (the brute-force minimum over the crossings inside and both bounds)
+    that no step toward zero keeps."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 12))
+    a, b = rng.normal(size=r), rng.normal(size=r)
+    b[0], b[1] = -abs(b[0]), abs(b[1])  # bounded below
+    if seed % 4 == 0:
+        b[2:4] = 0.0  # flat lines
+    lo, hi = np.sort(rng.normal(scale=2.0, size=2))
+    u = _least_magnitude(a, b, pairwise_min_max(a, b), np.array([1.0, -1.0]),
+                         np.array([hi, -lo]))[0]
+    assert lo - 1e-12 <= u <= hi + 1e-12
+    falling, rising = np.nonzero(b < 0)[0], np.nonzero(b > 0)[0]
+    cross = [(a[i] - a[j]) / (b[j] - b[i]) for i in falling for j in rising]
+    g_min = min(envelope(a, b, t) for t in [lo, hi] + [c for c in cross if lo <= c <= hi])
+    assert envelope(a, b, u) <= g_min + 1e-11 * (1.0 + abs(g_min))
+    toward = u - np.sign(u) * 1e-6
+    if u != 0.0 and lo <= toward <= hi:
+        assert envelope(a, b, toward) > g_min + 1e-11 * (1.0 + abs(g_min))
+
+
+@pytest.mark.parametrize("name", ("trucks", "power", "scalar"))
+def test_projected_minimum_matches_the_pairwise_oracle(designs, name):
+    """g* = max(proj c, 0), the gauge of c in Z projected along B, equals
+    min_u max_i (a_i + b_i u) for the section's lines a = H c, b = H B: at
+    random points c, and at successors A z + w of tube points."""
+    rng = np.random.default_rng(5)
+    for ctrl in designs[name]:
+        sec, rci = ctrl.compiled.section, ctrl.rci
+        scale = np.abs(sec.vertices).max(axis=0)
+        points = [scale * rng.normal(size=sec.n) for _ in range(12)]
+        points += [rci.A @ (rho * rci.z_set().sample(rng)) + rci.w_set.sample(rng)
+                   for rho in (0.0, 0.5, 1.0, 2.0) for _ in range(4)]
+        for c in points:
+            a, b = sec.H @ c, sec.HB[:, 0]
+            g = float(np.max(sec._proj @ c, initial=0.0))
+            assert abs(g - pairwise_min_max(a, b)) <= 1e-12 * max(1.0, g)
 
 
 # ------------------------------------------------------------- LP fallback
@@ -188,8 +315,7 @@ def fresh(ctrl):
     return replace(ctrl)
 
 
-def test_capped_section_falls_back_to_the_lps(monkeypatch, truck_network, truck_controllers,
-                                              truck_controllers_distributed):
+def test_capped_section_falls_back_to_the_lps(monkeypatch, truck_network, truck_controllers):
     monkeypatch.setattr(section_mod, "MAX_POINTS", 0)
     rng = np.random.default_rng(4)
     for i in ("1", "2"):
@@ -203,7 +329,7 @@ def test_capped_section_falls_back_to_the_lps(monkeypatch, truck_network, truck_
                 cert = member_aggregate(ctrl.rci.z_set(), x - diag.xhat0)
                 assert all(np.array_equal(a, b) for a, b in zip(diag.mpc.beta, cert.beta))
     states = {"1": np.array([0.1, 0.0]), "2": np.array([3.0, 0.0])}
-    ctrl = fresh(truck_controllers_distributed["1"])
+    ctrl = fresh(truck_controllers["1"])
     preds = truck_network.predecessors("1")
     u, diag = step_control(ctrl, states["1"], predecessor_states=states, couplings=preds)
     assert diag.kappa_mode == "distributed"

@@ -38,9 +38,9 @@ def test_truck_decentralized_first_inputs(truck_network, truck_controllers):
     assert tr.data["2"]["u"][0][0] != 0.0
 
 
-def test_truck_distributed_first_inputs(truck_network, truck_controllers_distributed):
+def test_truck_distributed_first_inputs(truck_network, truck_controllers):
     cfg = SimConfig(T=3, x0={"1": [0.0, 0.0], "2": [3.0, 0.0]}, mode="distributed")
-    tr = run(truck_network, truck_controllers_distributed, cfg)
+    tr = run(truck_network, truck_controllers, cfg)
     u1 = tr.data["1"]["u"][0][0]
     assert u1 != 0.0
     assert u1 < 0  # pushes against the spring/damper pull from truck 2
@@ -103,11 +103,10 @@ def test_mode_consistency_when_uncoupled():
     # use and both modes must produce identical trajectories
     net = build_truck_network()
     solo = Network([net.subsystems["1"], net.subsystems["2"]], [])
-    ctrl_dec = design_truck_controllers(solo, mode="decentralized")
-    ctrl_dis = design_truck_controllers(solo, mode="distributed")
+    ctrls = design_truck_controllers(solo)  # the run's mode alone picks the law
     x0 = {"1": [1.0, 0.0], "2": [2.0, 0.0]}
-    tr_dec = run(solo, ctrl_dec, SimConfig(T=30, x0=x0, mode="decentralized"))
-    tr_dis = run(solo, ctrl_dis, SimConfig(T=30, x0=x0, mode="distributed"))
+    tr_dec = run(solo, ctrls, SimConfig(T=30, x0=x0, mode="decentralized"))
+    tr_dis = run(solo, ctrls, SimConfig(T=30, x0=x0, mode="distributed"))
     for i in ("1", "2"):
         assert np.array_equal(tr_dec.arrays(i, "x"), tr_dis.arrays(i, "x"))
         assert np.array_equal(tr_dec.arrays(i, "u"), tr_dis.arrays(i, "u"))
