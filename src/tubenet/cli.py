@@ -9,8 +9,9 @@ file that cannot be read or written. Bundles are compact, key-sorted JSON.
 Design settings come from the scenario file alone (a bundle's from its
 embedded scenario); the online law is the run's: `simulate --mode`, else
 `simulation.mode`, else the scenario-wide `controller.mode`.
-Exit codes: 0 ok, 1 usage or input error, 2 design failure, 3 runtime
-infeasibility, 4 numerical failure of an online solve.
+Exit codes: 0 ok, 1 usage or input error, 2 design failure (for `check`,
+a failed certificate), 3 runtime infeasibility, 4 numerical failure of an
+online solve.
 """
 
 from __future__ import annotations
@@ -724,18 +725,17 @@ def cmd_check(args) -> int:
     report = {}
     all_pass = True
     for i, ctrl in sorted(controllers.items()):
-        checks = run_all_checks(ctrl, n_samples=args.samples, seed=args.seed)
+        checks = run_all_checks(ctrl)
         report[i] = checks
         for chk in checks:
             all_pass &= bool(chk["passed"])
             verdict = "skipped" if "skipped" in chk else "pass" if chk["passed"] else "FAIL"
             print(f"subsystem {i}: {chk['name']}: {verdict}")
-    doc = {"passed": all_pass, "samples": args.samples, "seed": args.seed,
-           "subsystems": report}
+    doc = {"passed": all_pass, "subsystems": report}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True, default=float)
-    return EXIT_OK
+    return EXIT_OK if all_pass else EXIT_DESIGN
 
 
 def cmd_export(args) -> int:
@@ -753,10 +753,19 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a usage error (argparse's own code, 2, is a
+    design failure here); the subparsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tubenet",
-                                description="Design and simulate plug-and-play tube "
-                                            "controllers for coupled linear subsystems.")
+    p = _Parser(prog="tubenet",
+                description="Design and simulate plug-and-play tube "
+                            "controllers for coupled linear subsystems.")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("design", help="design all controllers for a scenario")
@@ -791,8 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run the design certificates on a bundle")
     c.add_argument("bundle")
-    c.add_argument("--samples", type=int, default=1000)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("-o", "--out", default=None)
     c.set_defaults(func=cmd_check)
 

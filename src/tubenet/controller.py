@@ -410,25 +410,12 @@ def kappa_bar_full(rci: RciDesign, z) -> tuple[np.ndarray, float, np.ndarray]:
     n = rci.z_blocks[0].shape[1]
     m = rci.u_blocks[0].shape[1]
     z = np.asarray(z, dtype=float).reshape(n)
-    k, q = rci.k, rci.q
     if not np.any(z):
-        return np.zeros(m), 0.0, np.zeros(k * q)
-    NV = 1 + k * q  # mu first, then beta by block
-    A_eq = np.zeros((k + n, NV))
-    b_eq = np.zeros(k + n)
-    for s in range(k):
-        A_eq[s, 0] = -1.0
-        A_eq[s, 1 + s * q: 1 + (s + 1) * q] = 1.0
-    A_eq[k:, 1:] = rci.sigma * np.hstack([blk.T for blk in rci.z_blocks])
-    b_eq[k:] = z
-    c = np.zeros(NV)
-    c[0] = 1.0
-    rep = solve_lp(LinearProgram(c, A_eq=A_eq, b_eq=b_eq, lb=np.zeros(NV)))
-    if not rep.optimal:
-        raise RuntimeError("invariance-control LP failed: " + rep.status)
-    beta = rep.x[1:]
+        return np.zeros(m), 0.0, np.zeros(rci.k * rci.q)
+    x = _occupancy_lp(rci, z, "invariance-control")
+    beta = x[1:]
     u = rci.sigma * np.hstack([blk.T for blk in rci.u_blocks]) @ beta
-    return u, float(rep.x[0]), beta
+    return u, float(x[0]), beta
 
 
 def kappa_bar_dis_full(rci: RciDesign, z, v, predecessor_states: dict,
@@ -442,29 +429,43 @@ def kappa_bar_dis_full(rci: RciDesign, z, v, predecessor_states: dict,
     z = np.asarray(z, dtype=float).reshape(n)
     v = np.asarray(v, dtype=float).reshape(m)
     w = _coupling_term(predecessor_states, couplings, n)
+    x = _occupancy_lp(rci, rci.A @ z + w, "predecessor-aware control", U, v)
+    kq = rci.k * rci.q
+    return x[1 + kq:], float(x[0]), x[1:1 + kq]
+
+
+def _occupancy_lp(rci: RciDesign, target, what: str, U: HPolytope | None = None,
+                  v=None) -> np.ndarray:
+    """The invariance LP of both laws: minimize mu over (mu, beta[, u]), mu
+    first, such that each block's coefficients beta_s >= 0 sum to mu and
+    sigma sum_s Z_s' beta_s equals target, or, with U given, target + B u
+    for an input u with v + u in U. Raises RuntimeError naming `what`
+    unless optimal."""
+    n = rci.z_blocks[0].shape[1]
     k, q = rci.k, rci.q
-    A_sub, B_sub = rci.A, rci.B
-    NV = 1 + k * q + m  # mu, beta, u_z
+    m = 0 if U is None else rci.B.shape[1]
+    NV = 1 + k * q + m
     A_eq = np.zeros((k + n, NV))
     b_eq = np.zeros(k + n)
     for s in range(k):
         A_eq[s, 0] = -1.0
         A_eq[s, 1 + s * q: 1 + (s + 1) * q] = 1.0
     A_eq[k:, 1:1 + k * q] = rci.sigma * np.hstack([blk.T for blk in rci.z_blocks])
-    A_eq[k:, 1 + k * q:] = -B_sub
-    b_eq[k:] = A_sub @ z + w
-    A_ub = np.zeros((U.n_rows, NV))
-    A_ub[:, 1 + k * q:] = U.C
-    b_ub = U.d - U.C @ v
-    lb = np.full(NV, -np.inf)
-    lb[:1 + k * q] = 0.0
+    b_eq[k:] = target
+    lb = np.zeros(NV)
+    ub_rows = {}
+    if U is not None:
+        A_eq[k:, 1 + k * q:] = -rci.B
+        lb[1 + k * q:] = -np.inf
+        A_ub = np.zeros((U.n_rows, NV))
+        A_ub[:, 1 + k * q:] = U.C
+        ub_rows = dict(A_ub=A_ub, b_ub=U.d - U.C @ v)
     c = np.zeros(NV)
     c[0] = 1.0
-    rep = solve_lp(LinearProgram(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb))
+    rep = solve_lp(LinearProgram(c, A_eq=A_eq, b_eq=b_eq, lb=lb, **ub_rows))
     if not rep.optimal:
-        raise RuntimeError("predecessor-aware control LP failed: " + rep.status)
-    u_z = rep.x[1 + k * q:]
-    return u_z, float(rep.x[0]), rep.x[1:1 + k * q]
+        raise RuntimeError(f"{what} LP failed: " + rep.status)
+    return rep.x
 
 
 def _coupling_term(predecessor_states: dict, couplings: dict, n: int) -> np.ndarray:

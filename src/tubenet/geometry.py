@@ -23,7 +23,6 @@ __all__ = [
     "GeometryError",
     "linear_image",
     "minkowski_hull",
-    "erode_by_ball",
     "erode_by_vpolytope",
     "member_aggregate",
     "box_vertices",
@@ -47,7 +46,6 @@ class HPolytope:
             raise GeometryError("non-finite entries in polytope description")
         if np.any(np.linalg.norm(self.C, axis=1) < 1e-14):
             raise GeometryError("zero row in constraint matrix")
-        self._empty: bool | None = None
 
     @property
     def n(self) -> int:
@@ -77,10 +75,8 @@ class HPolytope:
         return bool(np.all(self.C @ x <= self.d + tol))
 
     def is_empty(self) -> bool:
-        if self._empty is None:
-            r = solve_lp(LinearProgram(np.zeros(self.n), A_ub=self.C, b_ub=self.d))
-            self._empty = r.status == "infeasible"
-        return self._empty
+        r = solve_lp(LinearProgram(np.zeros(self.n), A_ub=self.C, b_ub=self.d))
+        return r.status == "infeasible"
 
     def is_bounded(self) -> bool:
         """Whether the set, when nonempty, is bounded: {Cx <= 0} = {0}, i.e.
@@ -257,20 +253,6 @@ def minkowski_hull(blocks, max_points: int | None = None):
     if hull is None:  # a single block
         pts, picks, hull = reduce(pts, picks)
     return pts, picks, hull
-
-
-def erode_by_ball(X: HPolytope, beta: float) -> HPolytope:
-    """X shrunk by a Euclidean ball: each rhs drops by beta * row norm.
-
-    Emptiness (beta too large) is flagged eagerly: read `is_empty()` on the
-    result without paying for another LP.
-    """
-    if beta < 0:
-        raise GeometryError("erosion radius must be nonnegative")
-    norms = np.linalg.norm(X.C, axis=1)
-    out = HPolytope(X.C.copy(), X.d - beta * norms)
-    out.is_empty()
-    return out
 
 
 def erode_by_vpolytope(X: HPolytope, P: VPolytope, scale: float = 1.0) -> HPolytope:

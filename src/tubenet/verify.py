@@ -1,15 +1,15 @@
-"""Numerical certificates for a finished design.
+"""Exact certificates for a finished design.
 
-These checks are what `cmd_check` runs: the algebraic identities of the
-solved invariant-set LP, strict inclusion of the tube sections inside the
-constraints, containment of the tightened sets, and, as an independent
-sampled oracle, invariance under sampled states/disturbances and
-homogeneity of the invariance law the controller serves (its explicit
-section law, or the LP when the section is unavailable).
-`vertex_invariance_report` checks the explicit law exactly, at the vertices
-of the tube section.
-The plug-in transaction commits on the exact pair (`structural_report`,
+`run_all_checks`, which `tubenet check` runs, returns four exact reports:
+the algebraic identities of the solved invariant-set LP (they prove
+invariance), strict inclusion of the tube sections inside the constraints,
+containment of the tightened sets, and invariance of the explicit law at
+the vertices of the tube section (skipped when the LP law serves). The
+plug-in transaction commits on the exact pair (`structural_report`,
 `inclusion_report`).
+
+`rci_certificate` is a sampled invariance oracle of the served law; no
+command runs it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "rci_certificate",
     "inclusion_report",
     "tube_containment_report",
-    "homogeneity_report",
     "structural_report",
     "vertex_invariance_report",
     "run_all_checks",
@@ -89,36 +88,6 @@ def tube_containment_report(ctrl: TubeController) -> dict:
         "min_state_slack": slack_x,
         "min_input_slack": slack_u,
         "passed": bool(slack_x >= -1e-8 and slack_u >= -1e-8),
-    }
-
-
-def homogeneity_report(ctrl: TubeController, n_samples: int = 100, seed: int = 0,
-                       rhos=(0.0, 0.3, 1.0, 2.0), tol: float = 1e-7) -> dict:
-    """Value-level homogeneity of the served invariance law: the optimal
-    occupancy scales linearly and the scaled coefficients stay feasible and
-    optimal for the scaled state (optimizer uniqueness is not assumed)."""
-    rng = np.random.default_rng(seed)
-    design, law = ctrl.rci, ctrl.compiled.law
-    Z = design.z_set()
-    zmat = design.sigma * np.hstack([blk.T for blk in design.z_blocks])
-    worst = 0.0
-    u0, mu0, _ = law(np.zeros(design.A.shape[0]))
-    zero_exact = mu0 == 0.0 and not np.any(u0)
-    for _ in range(n_samples):
-        z = Z.sample(rng)
-        _, mu, beta = law(z)
-        for rho in rhos:
-            _, mu_r, _ = law(rho * z)
-            # the rho-scaled optimizer stays feasible for the scaled state
-            # and achieves the scaled optimum
-            link_residual = float(np.abs(zmat @ (rho * beta) - rho * z).max(initial=0.0))
-            worst = max(worst, link_residual, abs(rho * mu - mu_r))
-    return {
-        "name": "homogeneity",
-        "samples": n_samples,
-        "max_deviation": worst,
-        "zero_maps_to_zero": zero_exact,
-        "passed": bool(worst <= tol and zero_exact),
     }
 
 
@@ -192,14 +161,11 @@ def vertex_invariance_report(ctrl: TubeController) -> dict:
     }
 
 
-def run_all_checks(ctrl: TubeController, n_samples: int = 1000, seed: int = 0) -> list[dict]:
-    reports = [
+def run_all_checks(ctrl: TubeController) -> list[dict]:
+    """The four exact reports of `tubenet check`."""
+    return [
         structural_report(ctrl.rci),
         inclusion_report(ctrl.sub, ctrl.rci),
         tube_containment_report(ctrl),
         vertex_invariance_report(ctrl),
     ]
-    if n_samples > 0:
-        reports.append(rci_certificate(ctrl, n_samples=n_samples, seed=seed))
-        reports.append(homogeneity_report(ctrl, n_samples=max(10, n_samples // 10), seed=seed))
-    return reports

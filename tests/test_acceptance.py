@@ -15,7 +15,6 @@ from tubenet.cli import bundle_to_dict, design_scenario, scenario_from_dict
 from tubenet.geometry import (
     HPolytope,
     VPolytope,
-    erode_by_ball,
     erode_by_vpolytope,
     member_aggregate,
     vertices_of,
@@ -101,26 +100,6 @@ def test_criterion_3_inclusions(truck_network, truck_controllers):
 
 def test_criterion_4_geometry_oracles():
     rng = np.random.default_rng(44)
-    # ball erosion: the per-row formula and a dense directional grid oracle
-    formula_ok = True
-    grid_ok = True
-    for _ in range(20):
-        X = random_2d_polytope(rng)
-        beta = rng.uniform(0.05, 0.2)
-        out = erode_by_ball(X, beta)
-        expect = X.d - beta * np.linalg.norm(X.C, axis=1)
-        formula_ok &= bool(np.array_equal(out.d, expect) and np.array_equal(out.C, X.C))
-        angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-        ring = beta * np.column_stack([np.cos(angles), np.sin(angles)])
-        for gx in np.linspace(-2, 2, 12):
-            for gy in np.linspace(-2, 2, 12):
-                x = np.array([gx, gy])
-                margin = float(np.min(out.d - out.C @ x))
-                if abs(margin) < 1e-4:
-                    continue
-                inside = all(X.contains(x + r, tol=1e-12) for r in ring)
-                grid_ok &= (margin > 0) == inside
-
     # sequential block erosion against the explicit vertex-sum oracle
     hausdorff_worst = 0.0
     checked = 0
@@ -151,7 +130,7 @@ def test_criterion_4_geometry_oracles():
         hausdorff_worst = max(hausdorff_worst, d1, d2)
         checked += 1
     report(4, "geometry oracles",
-           formula_ok and grid_ok and hausdorff_worst <= 1e-6,
+           hausdorff_worst <= 1e-6,
            f"hausdorff bound={hausdorff_worst:.2e} over {checked} instances")
 
 

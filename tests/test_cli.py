@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import util_oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubenet import cli
+from tubenet import cli, verify
+from tubenet import section as section_mod
 from tubenet.cli import (
     EXIT_DESIGN,
     EXIT_INFEASIBLE,
@@ -227,27 +229,73 @@ def test_simulate_numerical_failure_exit4(truck_paths, tmp_path, capsys, monkeyp
     assert SimTrace.from_dict(doc).infeasible_status is None
 
 
-def test_check_command(truck_paths, tmp_path):
-    _, bundle_path = truck_paths
+EXACT_REPORTS = ["structure", "inclusions", "tube_containment", "vertex_invariance"]
+
+
+@pytest.fixture(scope="module")
+def power_bundle(power_four_areas, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_power") / "power4.json"
+    save_bundle(path, *power_four_areas, {})
+    return path
+
+
+@pytest.mark.parametrize("bundle", ["trucks", "power-4", "capped"])
+def test_check_runs_the_exact_reports_only(request, tmp_path, monkeypatch, bundle):
+    """`tubenet check` writes the four exact reports of every subsystem and
+    exits 0 when they pass; no sampler runs. Without an explicit tube
+    section (capped) the vertex check is skipped and still passes."""
+    path = (request.getfixturevalue("power_bundle") if bundle == "power-4"
+            else request.getfixturevalue("truck_paths")[1])
+    if bundle == "capped":
+        monkeypatch.setattr(section_mod, "MAX_POINTS", 0)
+
+    def sampler(*args, **kwargs):
+        raise AssertionError("a sampled oracle ran")
+
+    monkeypatch.setattr(verify, "rci_certificate", sampler)
+    monkeypatch.setattr(util_oracles, "homogeneity_report", sampler)
     out = tmp_path / "report.json"
-    rc = main(["check", str(bundle_path), "--samples", "50", "--seed", "1",
-               "-o", str(out)])
-    assert rc == EXIT_OK
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(["check", str(path), "-o", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
+    assert set(doc) == {"passed", "subsystems"}  # no sampler settings
     assert doc["passed"] is True
+    assert len(doc["subsystems"]) == (4 if bundle == "power-4" else 2)
+    for i, checks in doc["subsystems"].items():
+        assert [c["name"] for c in checks] == EXACT_REPORTS
+        assert all(c["passed"] for c in checks)
+        vertex = checks[-1]
+        if bundle == "capped":
+            assert vertex["skipped"]
+            assert f"subsystem {i}: vertex_invariance: skipped" in text.getvalue()
+        else:
+            assert "skipped" not in vertex and vertex["max_gauge"] < 1.0
 
 
-def test_check_structural_only_with_zero_samples(truck_paths, tmp_path):
-    _, bundle_path = truck_paths
-    out = tmp_path / "report0.json"
-    rc = main(["check", str(bundle_path), "--samples", "0", "-o", str(out)])
-    assert rc == EXIT_OK
-    doc = json.loads(out.read_text())
-    assert doc["passed"] is True
-    names = {c["name"] for c in doc["subsystems"]["1"]}
-    assert "rci_certificate" not in names  # sampled suites skipped
-    exact = [c for c in doc["subsystems"]["1"] if c["name"] == "vertex_invariance"][0]
-    assert exact["passed"] and exact["max_gauge"] < 1.0
+@pytest.mark.parametrize("argv", [
+    ["check", "{bundle}", "--bogus"],
+    ["check", "{bundle}", "--samples", "10"],
+    ["check", "{bundle}", "--seed", "1"],
+    ["check"],
+    ["plug", "{bundle}"],
+    ["nosuchcommand"],
+])
+def test_usage_errors_exit_1(truck_paths, capsys, argv):
+    """Unknown flags and missing positionals are usage errors (1), not the
+    design failure (2) of argparse's own exit code."""
+    argv = [a.format(bundle=truck_paths[1]) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "usage: tubenet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: tubenet" in capsys.readouterr().out
 
 
 def _malformed(doc: dict, case: str) -> dict:
@@ -341,7 +389,7 @@ def _numeric_fault(target: str, bad, truck_paths, tmp_path) -> tuple[list, str]:
     doc = json.loads(bundle_path.read_text())
     doc["scenario"]["subsystems"][1]["A"] = bad(A)
     path.write_text(json.dumps(doc))
-    return ["check", str(path), "--samples", "0"], "$.scenario.subsystems[1].A"
+    return ["check", str(path)], "$.scenario.subsystems[1].A"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MATRICES))
@@ -430,8 +478,8 @@ def test_check_detects_corrupted_alpha(truck_paths, tmp_path):
     bad = tmp_path / "corrupt.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
-    rc = main(["check", str(bad), "--samples", "0", "-o", str(out)])
-    assert rc == EXIT_OK  # failures are report content, not exit conditions
+    rc = main(["check", str(bad), "-o", str(out)])
+    assert rc == EXIT_DESIGN  # after the report is written
     report = json.loads(out.read_text())
     assert report["passed"] is False
     inclusion = [c for c in report["subsystems"]["1"] if c["name"] == "inclusions"][0]

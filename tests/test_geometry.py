@@ -15,7 +15,6 @@ from tubenet.geometry import (
     VAggregate,
     VPolytope,
     box_vertices,
-    erode_by_ball,
     erode_by_vpolytope,
     linear_image,
     member_aggregate,
@@ -96,61 +95,6 @@ def test_minkowski_hull_tracks_summands_and_caps_the_cloud():
     assert verts.shape[0] == 8 and hull.vertices.shape[0] == 8
     with pytest.raises(GeometryError, match="cap"):
         minkowski_hull(blocks, max_points=15)
-
-
-# --------------------------------------------------------------- erode_by_ball
-
-def test_erode_ball_box():
-    X = HPolytope.symmetric_box([1.0, 1.0])
-    out = erode_by_ball(X, 0.5)
-    assert np.allclose(out.d, 0.5)
-    assert np.array_equal(out.C, X.C)
-
-
-def test_erode_ball_zero_radius():
-    X = random_2d_polytope(np.random.default_rng(5))
-    out = erode_by_ball(X, 0.0)
-    assert np.array_equal(out.d, X.d)
-
-
-def test_erode_ball_matches_grid_oracle():
-    # oracle: x belongs to X (-) ball(0.1) iff every point of the ball around x
-    # is in X, tested on a dense ring of directions
-    rng = np.random.default_rng(42)
-    X = random_2d_polytope(rng)
-    beta = 0.1
-    out = erode_by_ball(X, beta)
-    angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    ring = beta * np.column_stack([np.cos(angles), np.sin(angles)])
-    xs = np.linspace(-2.0, 2.0, 100)
-    for gx in xs[::7]:
-        for gy in xs[::7]:
-            x = np.array([gx, gy])
-            margin = float(np.min(out.d - out.C @ x))
-            if abs(margin) < 1e-4:
-                continue  # boundary band: ring under-approximates the disc
-            ball_inside = all(X.contains(x + r, tol=1e-12) for r in ring)
-            assert (margin > 0) == ball_inside
-
-
-def test_erode_ball_empty_result_detected():
-    X = HPolytope.symmetric_box([0.2, 0.2])
-    out = erode_by_ball(X, 1.0)
-    assert out.is_empty()
-
-
-def test_erode_ball_retained_row_norms_stay_bounded():
-    # origin-normalized form: retained rows of a nonempty-interior erosion
-    # satisfy beta * ||a_r|| < 1
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        X = random_2d_polytope(rng)
-        A = X.C / X.d[:, None]  # rows scaled so rhs is 1
-        beta = 0.05
-        out = erode_by_ball(HPolytope(A, np.ones(len(X.d))), beta)
-        if out.is_empty() or not out.has_origin_interior():
-            continue
-        assert np.all(beta * np.linalg.norm(A, axis=1) < 1.0)
 
 
 # ---------------------------------------------------------- erode_by_vpolytope

@@ -4,9 +4,9 @@ Property tests draw points from the tube section, from its boundary facets
 and at its vertices, scaled by rho in [0, 3], on the truck, power-4,
 mass 4x4 and a one-dimensional design. Oracle tests hold the facet-indexed
 cone lookup to an all-cone scan, and the projected minimum of the successor
-gauge to a brute-force minimum over pairs of lines. The sampled oracles of
-`tubenet check` also run on truck designs compiled without a section, where
-the LPs serve.
+gauge to a brute-force minimum over pairs of lines. The sampled invariance
+and homogeneity oracles also run on truck designs compiled without a
+section, where the LPs serve.
 """
 
 import itertools
@@ -33,9 +33,10 @@ from tubenet.model import Subsystem
 from tubenet.rci import DesignFailure, RciConfig
 from tubenet.scenarios import mass_scenario
 from tubenet.section import TubeSection, _least_magnitude
-from tubenet.verify import homogeneity_report, rci_certificate, vertex_invariance_report
+from tubenet.verify import rci_certificate, vertex_invariance_report
 
 from conftest import design_truck_controllers
+from util_oracles import homogeneity_report
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 DESIGNS = ("trucks", "power", "mass", "scalar")
@@ -355,9 +356,9 @@ def test_section_is_built_on_first_use_only(truck_controllers):
 
 @pytest.mark.parametrize("name", DESIGNS + ("fallback",))
 def test_vertex_invariance_holds(designs, name, monkeypatch):
-    """The exact vertex check, and the sampled oracles of `tubenet check` on
-    the law each controller serves: the section's, or the LP when the
-    section is unavailable (the vertex check is then skipped)."""
+    """The exact vertex check, and the sampled invariance and homogeneity
+    oracles on the law each controller serves: the section's, or the LP when
+    the section is unavailable (the vertex check is then skipped)."""
     lp_calls = []
     lp_law = controller_mod.kappa_bar_full
     monkeypatch.setattr(controller_mod, "kappa_bar_full",
