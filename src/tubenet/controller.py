@@ -10,6 +10,12 @@ membership test and kappa are read off the explicit tube section
 unavailable. The nominal problem is one parametric QP (an LP with the
 1-norm cost) per controller: its matrices are assembled once, and each solve
 writes only the measured state and the setpoint into its right-hand sides.
+
+Each controller keeps the verdict on the last setpoint it saw: whether it
+is an equilibrium of the nominal model, and whether the exact-setpoint
+shortcut may serve it. Both checks run again on the first step after any
+change. On the shortcut path the facet/cone lookup of x - x_ref runs at
+most once per step: the decentralized law and the solution's beta share it.
 """
 
 from __future__ import annotations
@@ -171,11 +177,45 @@ class CompiledController:
     """
 
     def __init__(self, ctrl: TubeController):
-        self.rci = ctrl.rci
+        self.sub, self.rci, self.terminal = ctrl.sub, ctrl.rci, ctrl.cfg.terminal
         self.section: TubeSection | None = build_section(ctrl.rci)
         self.Xhat, self.V = ctrl.Xhat, ctrl.V
         self.n, self.m, self.N = ctrl.sub.n, ctrl.sub.m, ctrl.cfg.N
         self.program = _nominal_program(ctrl)
+        self._setpoint = None  # (exact bytes of the last setpoint, its shortcut verdict)
+
+    def admits_shortcut(self, x_ref: np.ndarray, u_ref: np.ndarray,
+                        load_term: np.ndarray) -> bool:
+        """Whether the exact-setpoint shortcut may serve the setpoint:
+        x_ref in Xhat, u_ref in V and, with a custom terminal set, 0 in Xf.
+        Raises ValueError when the setpoint is not an equilibrium of the
+        nominal model (to 1e-7). Both checks run once per setpoint: the
+        verdict on the last one is kept, keyed by its exact bytes."""
+        key = (x_ref.tobytes(), u_ref.tobytes(), load_term.tobytes())
+        if self._setpoint is None or self._setpoint[0] != key:
+            if _setpoint_residual(self.sub, x_ref, u_ref, load_term) > 1e-7:
+                raise ValueError("setpoint is not an equilibrium of the nominal model")
+            term = self.terminal
+            self._setpoint = (key, bool(
+                self.Xhat.contains(x_ref, tol=0.0) and self.V.contains(u_ref, tol=0.0)
+                and (term.mode == "zero" or term.Xf.contains(np.zeros(self.n), tol=0.0))))
+        return self._setpoint[1]
+
+    def shortcut(self, dev: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray) -> MpcSolution | None:
+        """The exact optimizer at an admitted setpoint (xhat = x_ref,
+        v = u_ref, cost 0) when dev = x - x_ref lies in the tube section;
+        None when it does not. With the section, membership is the gauge
+        max H dev <= 1, and the cone lookup is left to the first reader."""
+        if self.section is None:
+            cert = member_aggregate(self.rci.z_set(), dev)
+            if not cert.feasible:
+                return None
+            return _Shortcut(self, dev, x_ref, u_ref,
+                             beta=[np.asarray(b, dtype=float) for b in cert.beta])
+        hz = self.section.H @ dev
+        if hz.max() > 1.0 + SHORTCUT_TOL:
+            return None
+        return _Shortcut(self, dev, x_ref, u_ref, hz=hz)
 
     def solve_nominal(self, dev: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray) -> MpcSolution:
         """Solve the nominal problem for the state deviation dev = x - x_ref
@@ -189,9 +229,10 @@ class CompiledController:
         stages[:, :self.Xhat.n_rows] = self.Xhat.d - self.Xhat.C @ x_ref
         stages[:, self.Xhat.n_rows:] = self.V.d - self.V.C @ u_ref
         step = p.with_rhs(b_ub=b_ub, b_eq=b_eq)
-        rep = solve_qp(step) if isinstance(p, QuadraticProgram) else solve_lp(step)
+        path = "qp" if isinstance(p, QuadraticProgram) else "l1"
+        rep = solve_qp(step) if path == "qp" else solve_lp(step)
         if not rep.optimal:
-            return MpcSolution(rep.status)
+            return MpcSolution(rep.status, path=path)
         n_state, n_input = (N + 1) * n, N * m
         xhat_seq = rep.x[:n_state].reshape(N + 1, n) + x_ref
         v_seq = rep.x[n_state:n_state + n_input].reshape(N, m) + u_ref
@@ -200,21 +241,7 @@ class CompiledController:
         return MpcSolution("optimal", v0=v_seq[0].copy(), xhat0=xhat_seq[0].copy(),
                            v_seq=v_seq, xhat_seq=xhat_seq,
                            beta=[beta_flat[s * q:(s + 1) * q] for s in range(k)],
-                           objective=float(rep.objective))
-
-    def tube_beta(self, dev: np.ndarray) -> list[np.ndarray] | None:
-        """Unit-sum coefficients per block representing dev in the tube
-        section, or None when dev lies outside it."""
-        if self.section is None:
-            cert = member_aggregate(self.rci.z_set(), dev)
-            return [np.asarray(b, dtype=float) for b in cert.beta] if cert.feasible else None
-        hz = self.section.H @ dev
-        if hz.max() > 1.0 + SHORTCUT_TOL:
-            return None
-        mu, beta, _ = self.section.decompose(dev, hz)
-        beta = beta.reshape(self.rci.k, self.rci.q)
-        beta[:, 0] += max(1.0 - mu, 0.0)  # the rest on each block's origin vertex
-        return list(beta)
+                           objective=float(rep.objective), path=path)
 
     def law(self, z) -> tuple[np.ndarray, float, np.ndarray]:
         """Decentralized invariance law at error state z: (u, mu, beta)."""
@@ -243,10 +270,46 @@ class MpcSolution:
     xhat_seq: np.ndarray | None = None   # (N+1) x n
     beta: list[np.ndarray] | None = None
     objective: float | None = None
+    path: str | None = None  # where it was served: "shortcut", "qp" or "l1"
 
     @property
     def feasible(self) -> bool:
         return self.status == "optimal"
+
+
+class _Shortcut(MpcSolution):
+    """The shortcut's solution: xhat = x_ref and v = u_ref at every stage,
+    at zero cost. The sequences and, with the section, beta and the cone
+    lookup of dev are computed on first read, with the values an eager
+    computation gives."""
+
+    def __init__(self, compiled: CompiledController, dev, x_ref, u_ref, hz=None, beta=None):
+        # not the dataclass __init__: it would store the lazy fields as None
+        self.status, self.objective, self.path = "optimal", 0.0, "shortcut"
+        self.v0, self.xhat0 = u_ref.copy(), x_ref.copy()
+        self._compiled, self._dev, self._hz = compiled, dev, hz
+        if beta is not None:  # the membership LP's coefficients
+            self.beta = beta
+
+    @functools.cached_property
+    def decomposition(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(mu, beta, u) of dev in the tube section (`TubeSection.decompose`)."""
+        return self._compiled.section.decompose(self._dev, self._hz)
+
+    @functools.cached_property
+    def v_seq(self) -> np.ndarray:
+        return np.tile(self.v0, (self._compiled.N, 1))
+
+    @functools.cached_property
+    def xhat_seq(self) -> np.ndarray:
+        return np.tile(self.xhat0, (self._compiled.N + 1, 1))
+
+    @functools.cached_property
+    def beta(self) -> list[np.ndarray]:
+        mu, beta, _ = self.decomposition
+        beta = beta.reshape(self._compiled.rci.k, self._compiled.rci.q).copy()
+        beta[:, 0] += max(1.0 - mu, 0.0)  # the rest on each block's origin vertex
+        return list(beta)
 
 
 def tighten_sets(X: HPolytope, U: HPolytope, rci: RciDesign) -> tuple[HPolytope, HPolytope]:
@@ -298,31 +361,24 @@ def solve_mpc(ctrl: TubeController, x, x_ref=None, u_ref=None, load_term=None) -
     membership variables. When x already sits in the tube around the
     setpoint, the exact optimizer (xhat = x_ref, v = u_ref, cost 0) is
     returned without invoking the solver: the cost is nonnegative and that
-    point attains zero.
+    point attains zero. The setpoint is checked (an equilibrium of the
+    nominal model, and whether the shortcut may serve it) on the first step
+    after each change; the controller keeps the verdict until the next.
     """
     sub = ctrl.sub
-    n, m, N = sub.n, sub.m, ctrl.cfg.N
+    n, m = sub.n, sub.m
     x = np.asarray(x, dtype=float).reshape(n)
     x_ref = np.zeros(n) if x_ref is None else np.asarray(x_ref, dtype=float).reshape(n)
     u_ref = np.zeros(m) if u_ref is None else np.asarray(u_ref, dtype=float).reshape(m)
     load_term = np.zeros(n) if load_term is None else np.asarray(load_term, dtype=float).reshape(n)
-    if _setpoint_residual(sub, x_ref, u_ref, load_term) > 1e-7:
-        raise ValueError("setpoint is not an equilibrium of the nominal model")
-
-    term = ctrl.cfg.terminal
+    compiled = ctrl.compiled
     dev = x - x_ref
-
     # exact-setpoint shortcut (also makes u = u_ref + kappa(x - x_ref) exact)
-    if (ctrl.Xhat.contains(x_ref, tol=0.0) and ctrl.V.contains(u_ref, tol=0.0)
-            and (term.mode == "zero" or term.Xf.contains(np.zeros(n), tol=0.0))):
-        beta = ctrl.compiled.tube_beta(dev)
-        if beta is not None:
-            xhat_seq = np.tile(x_ref, (N + 1, 1))
-            v_seq = np.tile(u_ref, (N, 1))
-            return MpcSolution("optimal", v0=u_ref.copy(), xhat0=x_ref.copy(),
-                               v_seq=v_seq, xhat_seq=xhat_seq, beta=beta, objective=0.0)
-
-    return ctrl.compiled.solve_nominal(dev, x_ref, u_ref)
+    if compiled.admits_shortcut(x_ref, u_ref, load_term):
+        sol = compiled.shortcut(dev, x_ref, u_ref)
+        if sol is not None:
+            return sol
+    return compiled.solve_nominal(dev, x_ref, u_ref)
 
 
 def _nominal_program(ctrl: TubeController) -> QuadraticProgram | LinearProgram:
@@ -488,6 +544,11 @@ class StepDiagnostics:
     kappa_mode: str
     mpc: MpcSolution
 
+    @property
+    def path(self) -> str:
+        """Where the nominal problem was served: "shortcut", "qp" or "l1"."""
+        return self.mpc.path
+
 
 def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None,
                  couplings: dict | None = None, x_ref=None, u_ref=None,
@@ -507,6 +568,15 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
         raise InfeasibleStep(ctrl.id, sol.status)
     z = np.asarray(x, dtype=float) - sol.xhat0
     compiled = ctrl.compiled
+
+    def decentralized():
+        # on the shortcut path with the section, z = x - x_ref is bit for bit
+        # the vector the shortcut located there: its cone lookup serves
+        if compiled.section is not None and isinstance(sol, _Shortcut):
+            mu, beta, u_z = sol.decomposition
+            return u_z, mu, beta
+        return compiled.law(z)
+
     try:
         if couplings:
             try:
@@ -515,10 +585,10 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
                 kappa_mode = "distributed"
             except MissingPredecessorState as e:
                 log.warning("%s: %s; falling back to the decentralized law", ctrl.id, e)
-                u_z, mu, beta = compiled.law(z)
+                u_z, mu, beta = decentralized()
                 kappa_mode = "fallback"
         else:
-            u_z, mu, beta = compiled.law(z)
+            u_z, mu, beta = decentralized()
             kappa_mode = "decentralized"
     except RuntimeError as e:  # a failed invariance LP is numerical, not infeasibility
         raise InfeasibleStep(ctrl.id, STATUS_FAILURE) from e

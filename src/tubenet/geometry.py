@@ -72,7 +72,7 @@ class HPolytope:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape[0] != self.n:
             raise GeometryError(f"point has dimension {x.shape[0]}, polytope {self.n}")
-        return bool(np.all(self.C @ x <= self.d + tol))
+        return bool((self.C @ x <= self.d + tol).all())
 
     def is_empty(self) -> bool:
         r = solve_lp(LinearProgram(np.zeros(self.n), A_ub=self.C, b_ub=self.d))

@@ -176,12 +176,18 @@ class SimTrace:
                                + [repr(float(d["mu"][t])), int(d["feasible"][t])])
 
 
-def _load_value(loads, i, t) -> float:
-    value = 0.0
+def _reference_schedule(sub: Subsystem, loads, T: int) -> list[tuple]:
+    """(load, x_ref, u_ref, load_term) of sub at each step t: the load is
+    the value of the last listed step of sub at or before t, 0 before any.
+    The references are computed once per load step; steps at the same level
+    share one tuple. A time given as a float applies from the first step at
+    or after it."""
+    schedule = [(0.0, *_references(sub, 0.0))] * T
     for ls in loads:
-        if ls.subsystem == i and ls.time <= t:
-            value = ls.value
-    return value
+        if ls.subsystem == sub.id:
+            start = int(np.ceil(ls.time))
+            schedule[start:] = [(ls.value, *_references(sub, ls.value))] * (T - start)
+    return schedule
 
 
 def _references(sub: Subsystem, load: float):
@@ -223,22 +229,24 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
     for ctrl in controllers.values():
         if isinstance(ctrl, TubeController):
             ctrl.compiled  # build the tube section and nominal program outside the timed steps
+    # per run, not per step: coupling blocks and the reference schedule
+    preds = {i: net.predecessors(i) for i in ids}
+    schedule = {i: _reference_schedule(net.subsystems[i], cfg.loads, cfg.T) for i in ids}
     for t in range(cfg.T):
         snapshot = {i: states[i].copy() for i in ids}
         controls = {}
         stop = False
         for i in ids:
             sub = net.subsystems[i]
-            load = _load_value(cfg.loads, i, t)
-            x_ref, u_ref, load_term = _references(sub, load)
+            _, x_ref, u_ref, load_term = schedule[i][t]
             ctrl = controllers[i]
             t0 = time.perf_counter()
             try:
                 if isinstance(ctrl, TubeController):
-                    preds = net.predecessors(i) if cfg.mode == "distributed" else None
+                    couplings = preds[i] if cfg.mode == "distributed" else None
                     u, diag = step_control(ctrl, snapshot[i],
-                                           predecessor_states=snapshot if preds else None,
-                                           couplings=preds, x_ref=x_ref, u_ref=u_ref,
+                                           predecessor_states=snapshot if couplings else None,
+                                           couplings=couplings, x_ref=x_ref, u_ref=u_ref,
                                            load_term=load_term)
                     v0, xhat0, mu, obj = diag.v0, diag.xhat0, diag.mu, diag.objective
                 else:  # coupling-blind baseline controller
@@ -250,7 +258,7 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
                 trace.infeasible_status = e.status
                 trace.record(i, x=snapshot[i].copy(), u=np.full(sub.m, np.nan),
                              v=np.full(sub.m, np.nan), xhat=np.full(sub.n, np.nan),
-                             x_ref=x_ref, u_ref=u_ref, mu=np.nan, objective=np.nan,
+                             x_ref=x_ref.copy(), u_ref=u_ref.copy(), mu=np.nan, objective=np.nan,
                              feasible=False,
                              violation=not sub.X.contains(snapshot[i], tol=1e-7),
                              solve_time=time.perf_counter() - t0)
@@ -260,7 +268,7 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
                 break
             controls[i] = u
             trace.record(i, x=snapshot[i].copy(), u=u.copy(), v=np.asarray(v0).copy(),
-                         xhat=np.asarray(xhat0).copy(), x_ref=x_ref, u_ref=u_ref,
+                         xhat=np.asarray(xhat0).copy(), x_ref=x_ref.copy(), u_ref=u_ref.copy(),
                          mu=float(mu), objective=float(obj), feasible=True,
                          violation=bool(not sub.X.contains(snapshot[i], tol=1e-7)
                                         or not sub.U.contains(u, tol=1e-7)),
@@ -269,12 +277,12 @@ def run(net: Network, controllers: dict, cfg: SimConfig) -> SimTrace:
             break
         for i in ids:
             sub = net.subsystems[i]
-            load = _load_value(cfg.loads, i, t)
+            load, _, _, load_term = schedule[i][t]
             nxt = sub.A @ snapshot[i] + sub.B @ controls[i]
-            for j, Aij in net.predecessors(i).items():
+            for j, Aij in preds[i].items():
                 nxt = nxt + Aij @ snapshot[j]
             if sub.L is not None and load != 0.0:
-                nxt = nxt + (sub.L @ np.array([load])).reshape(sub.n)
+                nxt = nxt + load_term  # L load, as `_references` computes it
             states[i] = nxt
     trace.final_x = {i: states[i].copy() for i in ids}
     return trace
