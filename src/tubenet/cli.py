@@ -17,6 +17,7 @@ online solve.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -590,11 +591,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_metrics(trace: SimTrace, scenario: Scenario, path):
+def _write_metrics(trace: SimTrace, scenario: Scenario, path) -> bool:
+    """Metrics over the steps every subsystem completed; none (False) when
+    the first step failed."""
+    if trace.completed == 0:
+        print(f"no step completed: metrics not written to {path}", file=sys.stderr)
+        return False
     cfgs = scenario.resolved_configs()
     compute_metrics(trace, scenario.network, Q={i: c.Q for i, c in cfgs.items()},
                     R={i: c.R for i, c in cfgs.items()}, tie_gains=_tie_gains(scenario),
                     ts=scenario.ts).to_json(path)
+    return True
 
 
 def _tie_gains(scenario: Scenario) -> dict:
@@ -747,8 +754,7 @@ def cmd_export(args) -> int:
     if args.csv:
         trace.to_csv(args.csv)
         print(f"trace csv written to {args.csv}")
-    if args.metrics:
-        _write_metrics(trace, scenario, args.metrics)
+    if args.metrics and _write_metrics(trace, scenario, args.metrics):
         print(f"metrics written to {args.metrics}")
     return EXIT_OK
 
@@ -762,7 +768,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. A subcommand's
+    handler is `cmd_<name>`, looked up when it runs (see `main`)."""
     p = _Parser(prog="tubenet",
                 description="Design and simulate plug-and-play tube "
                             "controllers for coupled linear subsystems.")
@@ -771,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("design", help="design all controllers for a scenario")
     d.add_argument("scenario")
     d.add_argument("-o", "--out", required=True)
-    d.set_defaults(func=cmd_design)
 
     s = sub.add_parser("simulate", help="run the closed loop from a designed bundle")
     s.add_argument("scenario")
@@ -783,39 +791,35 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", default=None)
     s.add_argument("--metrics", default=None)
     s.add_argument("--trace", default=None)
-    s.set_defaults(func=cmd_simulate)
 
     pl = sub.add_parser("plug", help="add a subsystem (delta file) to a bundle")
     pl.add_argument("delta")
     pl.add_argument("bundle")
     pl.add_argument("-o", "--out", required=True)
-    pl.set_defaults(func=cmd_plug)
 
     up = sub.add_parser("unplug", help="remove a subsystem (delta file) from a bundle")
     up.add_argument("delta")
     up.add_argument("bundle")
     up.add_argument("-o", "--out", required=True)
     up.add_argument("--policy", choices=["none", "performance"], default="none")
-    up.set_defaults(func=cmd_unplug)
 
     c = sub.add_parser("check", help="run the design certificates on a bundle")
     c.add_argument("bundle")
     c.add_argument("-o", "--out", default=None)
-    c.set_defaults(func=cmd_check)
 
     e = sub.add_parser("export", help="re-emit CSV/metrics from a saved trace")
     e.add_argument("trace")
     e.add_argument("bundle")
     e.add_argument("--csv", default=None)
     e.add_argument("--metrics", default=None)
-    e.set_defaults(func=cmd_export)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a wrapper installed on the module is seen
+        return globals()[f"cmd_{args.command}"](args)
     except (ScenarioError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

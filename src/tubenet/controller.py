@@ -30,7 +30,7 @@ from .geometry import HPolytope, VPolytope, erode_by_vpolytope, member_aggregate
 from .model import Subsystem
 from .optim import STATUS_FAILURE, LinearProgram, QuadraticProgram, solve_lp, solve_qp
 from .rci import DesignError, DesignFailure, RciConfig, RciDesign, synthesize_rci_from_w
-from .section import TubeSection, build_section
+from .section import SuccessorLaw, TubeSection, build_section
 
 log = logging.getLogger(__name__)
 
@@ -166,8 +166,10 @@ class CompiledController:
 
     The law is read off the explicit tube section, or, when the section is
     unavailable, solved with the LPs that define it; the choice is made
-    here, once. The LPs are looked up in this module at call time, so a
-    wrapper installed on the module (the benchmark's tracer) sees each call.
+    here, once. With one input, the predecessor-aware law is compiled here
+    against the subsystem's input set U (`section.SuccessorLaw`). The LPs
+    are looked up in this module at call time, so a wrapper installed on
+    the module (the benchmark's tracer) sees each call.
 
     The nominal problem is assembled here, once, in shifted (deviation)
     coordinates, where none of its matrices depends on the state or the
@@ -179,6 +181,8 @@ class CompiledController:
     def __init__(self, ctrl: TubeController):
         self.sub, self.rci, self.terminal = ctrl.sub, ctrl.rci, ctrl.cfg.terminal
         self.section: TubeSection | None = build_section(ctrl.rci)
+        self.successor: SuccessorLaw | None = (
+            None if self.section is None else self.section.compile_successor(ctrl.sub.U))
         self.Xhat, self.V = ctrl.Xhat, ctrl.V
         self.n, self.m, self.N = ctrl.sub.n, ctrl.sub.m, ctrl.cfg.N
         self.program = _nominal_program(ctrl)
@@ -249,16 +253,17 @@ class CompiledController:
             return kappa_bar_full(self.rci, z)
         return self.section.law(z)
 
-    def successor_law(self, z, v, predecessor_states: dict, couplings: dict,
-                      U: HPolytope) -> tuple[np.ndarray, float, np.ndarray]:
-        """Predecessor-aware invariance law: (u_z, mu, beta). Raises
-        MissingPredecessorState when a predecessor state is missing."""
-        if self.section is not None:
+    def successor_law(self, z, v, predecessor_states: dict,
+                      couplings: dict) -> tuple[np.ndarray, float, np.ndarray]:
+        """Predecessor-aware invariance law within the subsystem's input set:
+        (u_z, mu, beta). Raises MissingPredecessorState when a predecessor
+        state is missing."""
+        if self.successor is not None:
             w = _coupling_term(predecessor_states, couplings, self.rci.A.shape[0])
-            law = self.section.successor_law(self.rci.A @ z + w, U, v)
+            law = self.successor(self.rci.A @ z + w, v)
             if law is not None:
                 return law
-        return kappa_bar_dis_full(self.rci, z, v, predecessor_states, couplings, U)
+        return kappa_bar_dis_full(self.rci, z, v, predecessor_states, couplings, self.sub.U)
 
 
 @dataclass
@@ -581,7 +586,7 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
         if couplings:
             try:
                 u_z, mu, beta = compiled.successor_law(z, sol.v0, predecessor_states or {},
-                                                       couplings, ctrl.sub.U)
+                                                       couplings)
                 kappa_mode = "distributed"
             except MissingPredecessorState as e:
                 log.warning("%s: %s; falling back to the decentralized law", ctrl.id, e)

@@ -16,7 +16,11 @@ For one input, the least gauge of the successor c + B u over all u is the
 gauge of c in Z projected along B, max_i eta_i'N'c over the facet rows eta
 of the hull of N'Z, N an orthonormal basis of the complement of B. The
 predecessor-aware law takes the input of least magnitude among the
-minimizers in U - v, read off the level band of that minimum.
+minimizers in U - v, read off the level band of that minimum. Each
+controller compiles it once against its input set U (`SuccessorLaw`): the
+facet rows split by the sign of (H B)_i and U's rows split by the sign of
+their input coefficient are sliced at build time, so a call reads only
+H c, the projected gauge and those rows' extremes before `decompose`.
 
 `build_section` returns None when qhull fails or the build would exceed the
 fixed caps below; the LPs then serve the online path. The predecessor-aware
@@ -26,11 +30,13 @@ serves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import GeometryError, minkowski_hull
 
-__all__ = ["TubeSection", "build_section"]
+__all__ = ["TubeSection", "SuccessorLaw", "build_section"]
 
 #: caps on the build, checked before qhull runs on each cloud. The largest
 #: design measured is power-4: n = 4, clouds of up to 6,188 points, 426 hull
@@ -45,6 +51,8 @@ MAX_SIMPLICES = 50_000
 FLAT_TOL = 1e-10
 #: relative tolerance on equal line values in the one-input successor law
 TIE_TOL = 1e-12
+# the C reductions, without the Python wrappers of np.max, np.min and np.sum
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
 
 class TubeSection:
@@ -82,7 +90,7 @@ class TubeSection:
         hz = H z when the caller has it."""
         if hz is None:
             hz = self.H @ z
-        f = int(np.argmax(hz))
+        f = int(hz.argmax())
         if not hz[f] > 0.0:  # z = 0: Z is bounded, so any other z has some h_i'z > 0
             return 0.0, np.zeros(self.k * self.q), np.zeros(self.inputs.shape[1])
         # the cones of facet f tile the cone over it, so the one containing z
@@ -90,12 +98,12 @@ class TubeSection:
         lo, hi = self._starts[f], self._starts[f + 1]
         lam = self._inv[lo:hi] @ z
         # a facet with one cone (every facet of a polygon) needs no comparison
-        j = lo if hi - lo == 1 else lo + int(np.argmax(lam.min(axis=1)))
+        j = lo if hi - lo == 1 else lo + int(_min(lam, axis=1).argmax())
         lam = lam[j - lo]
         lam = np.maximum(lam + self._inv[j] @ (z - self.cones[j] @ lam), 0.0)  # one refinement
         out = lam @ self._mix[self.simplices[j]]
         kq = self.k * self.q
-        return float(lam.sum()), out[:kq], out[kq:]
+        return float(_sum(lam)), out[:kq], out[kq:]
 
     def law(self, z) -> tuple[np.ndarray, float, np.ndarray]:
         """Decentralized invariance law: (u, mu, beta), an optimal solution of
@@ -103,44 +111,83 @@ class TubeSection:
         mu, beta, u = self.decompose(z)
         return u, mu, beta
 
-    def successor_law(self, c, U, v):
-        """Predecessor-aware law for one input: the u in U - v minimizing
-        the gauge of the successor c + B u (ties broken to the least |u|),
-        with (mu, beta) of that successor. None for more inputs, or when
-        U - v or the band of minimizers is empty; the caller then keeps the
-        full LP."""
-        if self._proj is None:
-            return None
-        a, b = self.H @ c, self.HB[:, 0]
-        g = float(np.max(self._proj @ c, initial=0.0))
-        u = _least_magnitude(a, b, g, U.C[:, 0], U.d - U.C @ v)
+    def compile_successor(self, U) -> SuccessorLaw | None:
+        """The predecessor-aware law for the input set U, compiled once; None
+        for more inputs or when the projected hull failed."""
+        return None if self._proj is None else SuccessorLaw(self, U)
+
+
+class SuccessorLaw:
+    """Predecessor-aware law of one controller, for one input: at the
+    successor c + B u of the error, the u in U - v minimizing its gauge
+    (ties broken to the least |u|), with (mu, beta) of that successor.
+    Everything that does not depend on (c, v) is compiled once, here; a call
+    takes one H c, the projected gauge, the input interval and the level
+    band of `LeastMagnitude`, and one `TubeSection.decompose`."""
+
+    def __init__(self, section: TubeSection, U):
+        self.section = section
+        self._proj = section._proj
+        self.lines = LeastMagnitude(section.HB[:, 0], U.C[:, 0], U.d)
+
+    def __call__(self, c, v):
+        """(u, mu, beta), or None when U - v or the band of minimizers is
+        empty; the caller then keeps the full LP."""
+        sec = self.section
+        a = sec.H @ c
+        g = _max(self._proj @ c, initial=0.0)
+        u = self.lines(a, g, v[0])
         if u is None:
             return None
-        mu, beta, _ = self.decompose(c + self.B @ u, a + b * u)
+        u = np.array([u])
+        mu, beta, _ = sec.decompose(c + sec.B @ u, a + self.lines.b * u)
         return u, mu, beta
 
 
-def _least_magnitude(a, b, g, cu, rhs):
-    """The minimizer of least |u| over {u : cu u <= rhs} of max_i a_i + b_i u,
-    given g, its minimum over all u; None when the interval or the level
-    band is empty."""
-    lo = float(np.max(rhs[cu < 0] / cu[cu < 0], initial=-np.inf))
-    hi = float(np.min(rhs[cu > 0] / cu[cu > 0], initial=np.inf))
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-        return None
-    u1, u2 = _level_band(a, b, g)
-    if u2 < lo or u1 > hi:  # the minimum over [lo, hi] is at the bound next to the band
-        u1, u2 = _level_band(a, b, float(np.max(a + b * (lo if u2 < lo else hi))))
-    u1, u2 = max(u1, lo), min(u2, hi)
-    return np.array([min(max(0.0, u1), u2)]) if u1 <= u2 else None
+class LeastMagnitude:
+    """The minimizer of least |u| over {u : cu (v + u) <= d} of the upper
+    envelope max_i a_i + b_i u, for fixed slopes b and a fixed input column
+    (cu, d). A call gives the offsets a, the envelope's minimum g over all u
+    and the offset v.
 
+    Compiled once: the lines falling (b_i < 0) and rising (b_i > 0), which
+    bound the level band from below and from above, in one index set, and
+    the rows of (cu, d) as scalar pairs split the same way by the sign of
+    cu; rows with cu = 0 do not bound u."""
 
-def _level_band(a, b, g):
-    """{u : max_i a_i + b_i u <= g}, within the tie tolerance, as (u1, u2)."""
-    level = g + TIE_TOL * (1.0 + abs(g))
-    neg, pos = b < 0, b > 0
-    return (float(np.max((level - a[neg]) / b[neg], initial=-np.inf)),
-            float(np.min((level - a[pos]) / b[pos], initial=np.inf)))
+    def __init__(self, b, cu, d):
+        self.b = np.array(b, dtype=float)
+        fall, rise = np.flatnonzero(self.b < 0), np.flatnonzero(self.b > 0)
+        self._rows = np.concatenate([fall, rise])
+        self._slopes = self.b[self._rows]
+        self._n_fall = fall.size
+        pairs = list(zip(np.asarray(cu, dtype=float).tolist(),
+                         np.asarray(d, dtype=float).tolist()))
+        self._lower = [(ci, di) for ci, di in pairs if ci < 0]
+        self._upper = [(ci, di) for ci, di in pairs if ci > 0]
+
+    def __call__(self, a, g, v=0.0) -> float | None:
+        """The minimizer; None when the interval or the level band is empty."""
+        if not (self._lower and self._upper):  # U - v is unbounded in u
+            return None
+        v = float(v)
+        lo = max([(di - ci * v) / ci for ci, di in self._lower])
+        hi = min([(di - ci * v) / ci for ci, di in self._upper])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            return None
+        u1, u2 = self._band(a, g)
+        if u2 < lo or u1 > hi:  # the minimum over [lo, hi] is at the bound next to the band
+            u1, u2 = self._band(a, float(_max(a + self.b * (lo if u2 < lo else hi))))
+        u1, u2 = max(u1, lo), min(u2, hi)
+        return min(max(0.0, u1), u2) if u1 <= u2 else None
+
+    def _band(self, a, g):
+        """{u : max_i a_i + b_i u <= g}, within the tie tolerance, as (u1, u2)."""
+        level = g + TIE_TOL * (1.0 + abs(g))
+        x = (level - a[self._rows]) / self._slopes
+        k = self._n_fall
+        return (float(_max(x[:k], initial=-math.inf)),
+                float(_min(x[k:], initial=math.inf)))
 
 
 def build_section(rci) -> TubeSection | None:

@@ -87,6 +87,13 @@ class SimTrace:
     def steps(self) -> int:
         return len(self.data[self.ids[0]]["u"]) if self.ids else 0
 
+    @property
+    def completed(self) -> int:
+        """Steps that every subsystem completed: all of them, or those before
+        the failed step (the subsystems after the failing one have no row
+        for it)."""
+        return self.steps if self.infeasible_at is None else self.infeasible_at
+
     def record(self, i, **kv):
         d = self.data[i]
         for key, value in kv.items():
@@ -170,6 +177,8 @@ class SimTrace:
             for t in range(self.steps):
                 for i in self.ids:
                     d = self.data[i]
+                    if t >= len(d["u"]):  # after the failing subsystem of a failed step
+                        continue
                     w.writerow([t, i]
                                + pad(d["x"][t], nx) + pad(d["u"][t], nu)
                                + pad(d["v"][t], nu) + pad(d["xhat"][t], nx)
@@ -380,43 +389,39 @@ def _weight_for(W, i, dim):
 
 
 def eta_index(trace: SimTrace, setpoints=None, Q=None, R=None) -> float:
-    """Time-averaged weighted tracking error over states and inputs.
+    """Time-averaged weighted tracking error over states and inputs, over
+    the steps every subsystem completed.
 
     Setpoints default to the per-step references recorded in the trace; pass
     {id: (x_ref, u_ref)} to override with constants.
     """
-    T = trace.steps
+    T = trace.completed
     if T == 0:
         raise ValueError("empty trace")
     total = 0.0
     for i in trace.ids:
         d = trace.data[i]
-        n = len(d["x"][0])
-        m = len(d["u"][0])
-        Qi = _weight_for(Q, i, n)
-        Ri = _weight_for(R, i, m)
-        for t in range(T):
-            if setpoints is not None:
-                x_ref, u_ref = setpoints[i]
-                x_ref = np.asarray(x_ref, dtype=float)
-                u_ref = np.asarray(u_ref, dtype=float)
-            else:
-                x_ref = np.asarray(d["x_ref"][t])
-                u_ref = np.asarray(d["u_ref"][t])
-            ex = np.asarray(d["x"][t]) - x_ref
-            eu = np.asarray(d["u"][t]) - u_ref
-            total += float(ex @ Qi @ ex) + float(eu @ Ri @ eu)
+        if setpoints is not None:
+            x_ref, u_ref = (np.asarray(r, dtype=float) for r in setpoints[i])
+        else:
+            x_ref, u_ref = np.asarray(d["x_ref"][:T]), np.asarray(d["u_ref"][:T])
+        ex = np.asarray(d["x"][:T]) - x_ref
+        eu = np.asarray(d["u"][:T]) - u_ref
+        Qi = _weight_for(Q, i, ex.shape[1])
+        Ri = _weight_for(R, i, eu.shape[1])
+        total += float(np.vdot(ex @ Qi, ex)) + float(np.vdot(eu @ Ri, eu))
     return total / T
 
 
 def phi_index(trace: SimTrace, tie_gains: dict, ts: float, angle_index: int = 0) -> float:
-    """Time-averaged absolute inter-area power transfer.
+    """Time-averaged absolute inter-area power transfer, over the steps
+    every subsystem completed.
 
     tie_gains maps directed pairs (i, j) to the line gain; the transfer at
     step t is gain * (angle_i(t) - angle_j(t)) with the angle taken from the
     given state component.
     """
-    T = trace.steps
+    T = trace.completed
     if T == 0:
         raise ValueError("empty trace")
     total = 0.0
@@ -431,8 +436,11 @@ def phi_index(trace: SimTrace, tie_gains: dict, ts: float, angle_index: int = 0)
 
 def settling_time_95(trace: SimTrace, ts: float = 1.0) -> float:
     """First time (in seconds) after which every subsystem stays within 5% of
-    its initial max-norm deviation from the recorded reference."""
-    T = trace.steps
+    its initial max-norm deviation from the recorded reference, over the
+    steps every subsystem completed."""
+    T = trace.completed
+    if T == 0:
+        raise ValueError("empty trace")
 
     def deviation(t):
         return max(float(np.abs(np.asarray(trace.data[i]["x"][t])
@@ -454,13 +462,13 @@ def settling_time_95(trace: SimTrace, ts: float = 1.0) -> float:
 
 def max_constraint_slack(trace: SimTrace, net: Network) -> float:
     """Largest value of (C x - d) and (C u - d) seen anywhere in the trace;
-    negative means every constraint held with margin."""
+    negative means every constraint held with margin. Inputs of a failed
+    step are NaN and skipped."""
     worst = -np.inf
     for i in trace.ids:
         sub = net.subsystems[i]
-        for t in range(trace.steps):
-            x = np.asarray(trace.data[i]["x"][t])
-            u = np.asarray(trace.data[i]["u"][t])
+        for x, u in zip(trace.data[i]["x"], trace.data[i]["u"]):
+            x, u = np.asarray(x), np.asarray(u)
             worst = max(worst, float(np.max(sub.X.C @ x - sub.X.d)))
             if np.all(np.isfinite(u)):
                 worst = max(worst, float(np.max(sub.U.C @ u - sub.U.d)))

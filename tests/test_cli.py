@@ -212,6 +212,25 @@ def test_simulate_naive_counterexample_exit3(tmp_path, capsys):
     assert trace.infeasible_status == "infeasible"
 
 
+@pytest.mark.parametrize("record", [False, True])
+def test_simulate_metrics_of_a_run_that_stopped_early(tmp_path, capsys, record):
+    """The subsystems after the failing one have no row for the failed
+    step: metrics and CSV cover what was recorded, and the exit code is
+    the run's (3, or 0 with --record-failure)."""
+    spath = tmp_path / "naive.json"
+    spath.write_text(json.dumps(counterexample_scenario()))
+    mpath, cpath = tmp_path / "m.json", tmp_path / "t.csv"
+    argv = ["simulate", str(spath), "--naive", "--metrics", str(mpath), "--csv", str(cpath)]
+    rc = main(argv + (["--record-failure"] if record else []))
+    assert rc == (EXIT_OK if record else EXIT_INFEASIBLE)
+    assert "infeasible at t=1: subsystem 1" in capsys.readouterr().err
+    metrics = json.loads(mpath.read_text())
+    assert np.isfinite(metrics["eta"]) and metrics["max_slack"] > 0.0
+    rows = cpath.read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["0", "1"], ["0", "2"], ["1", "1"]]
+    assert rows[-1].endswith(",0")  # the failed step's row, not feasible
+
+
 def test_simulate_numerical_failure_exit4(truck_paths, tmp_path, capsys, monkeypatch):
     from tubenet import controller
 
@@ -288,6 +307,26 @@ def test_usage_errors_exit_1(truck_paths, capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_USAGE
     assert "usage: tubenet" in capsys.readouterr().err
+
+
+def test_one_parser_per_process_and_handlers_looked_up_when_run(monkeypatch, capsys):
+    """`main` parses with one parser built once, and runs the module's
+    `cmd_<name>` as it is at call time (so a wrapper installed later, as a
+    tracer's, is the one that runs)."""
+    parsers, ran = [], []
+    parse = cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    cli.build_parser()  # the parser exists before the handler is replaced
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    monkeypatch.setattr(cli, "cmd_plug", lambda args: ran.append(args.delta) or EXIT_OK)
+    assert main(["plug", "d1.json", "b.json", "-o", "out.json"]) == EXIT_OK
+    assert main(["plug", "d2.json", "b.json", "-o", "out.json"]) == EXIT_OK
+    assert ran == ["d1.json", "d2.json"]
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])

@@ -32,10 +32,11 @@ from tubenet.geometry import HPolytope, VAggregate, VPolytope, member_aggregate
 from tubenet.model import Subsystem
 from tubenet.rci import DesignFailure, RciConfig
 from tubenet.scenarios import mass_scenario
-from tubenet.section import TubeSection, _least_magnitude
+from tubenet.section import LeastMagnitude, TubeSection
 from tubenet.verify import rci_certificate, vertex_invariance_report
 
 from conftest import design_truck_controllers
+import util_oracles
 from util_oracles import homogeneity_report
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -159,15 +160,14 @@ def input_offset(data, V):
 @given(data=st.data())
 def test_successor_law_matches_the_distributed_lp(designs, name, data):
     ctrl = pick(designs, name, data)
-    rci, sub, sec = ctrl.rci, ctrl.sub, ctrl.compiled.section
+    rci, sub = ctrl.rci, ctrl.sub
     z = tube_point(data, ctrl)
     w = rci.w_set.sample(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     v = input_offset(data, ctrl.V)
-    law = sec.successor_law(sub.A @ z + w, sub.U, v)
     if sub.m > 1:  # read off the section for one input only
-        assert law is None
+        assert ctrl.compiled.successor is None
         return
-    u, mu, beta = law
+    u, mu, beta = ctrl.compiled.successor(sub.A @ z + w, v)
     _, mu_lp, _ = kappa_bar_dis_full(rci, z, v, {"w": w}, {"w": np.eye(sub.n)}, sub.U)
     assert abs(mu - mu_lp) <= 1e-9 * max(1.0, mu_lp)
     assert sub.U.contains(v + u, tol=1e-9)
@@ -175,19 +175,26 @@ def test_successor_law_matches_the_distributed_lp(designs, name, data):
     assert np.abs(zmat @ beta - (sub.A @ z + w + sub.B @ u)).max() <= 1e-9
 
 
+def least_magnitude(a, b, g, cu, rhs):
+    """The compiled kernel, called with the reference's arguments and
+    returning its (1,) array: v = 0, so the interval is {u : cu u <= rhs}."""
+    u = LeastMagnitude(b, cu, rhs)(a, g)
+    return None if u is None else np.array([u])
+
+
 def test_one_input_minimizer_of_least_magnitude():
     # g(u) = max(1 - u, 0, u - 2) is flat on [1, 2]; shifted, flat on [-1, 1]
     box = np.array([1.0, -1.0]), np.array([5.0, 5.0])
-    flat = _least_magnitude(np.array([1.0, 0.0, -2.0]), np.array([-1.0, 0.0, 1.0]), 0.0, *box)[0]
+    flat = least_magnitude(np.array([1.0, 0.0, -2.0]), np.array([-1.0, 0.0, 1.0]), 0.0, *box)[0]
     assert flat == pytest.approx(1.0, abs=1e-11)  # within the tie tolerance
-    assert _least_magnitude(np.array([-1.0, 0.0, -1.0]), np.array([-1.0, 0.0, 1.0]), 0.0,
-                            *box)[0] == 0.0
+    assert least_magnitude(np.array([-1.0, 0.0, -1.0]), np.array([-1.0, 0.0, 1.0]), 0.0,
+                           *box)[0] == 0.0
     # a unique kink at 0.125 (g* = 0.25), and the bound when the kink lies outside
     lines = np.array([0.5, 0.0]), np.array([-2.0, 2.0])
-    assert _least_magnitude(*lines, 0.25, *box)[0] == pytest.approx(0.125)
-    capped = _least_magnitude(*lines, 0.25, np.array([1.0, -1.0]), np.array([0.1, 5.0]))[0]
+    assert least_magnitude(*lines, 0.25, *box)[0] == pytest.approx(0.125)
+    capped = least_magnitude(*lines, 0.25, np.array([1.0, -1.0]), np.array([0.1, 5.0]))[0]
     assert capped == pytest.approx(0.1, abs=1e-11)
-    assert _least_magnitude(*lines, 0.25, np.array([1.0, -1.0]), np.array([-1.0, -2.0])) is None
+    assert least_magnitude(*lines, 0.25, np.array([1.0, -1.0]), np.array([-1.0, -2.0])) is None
 
 
 # ------------------------------------------------------------ lookup oracles
@@ -279,8 +286,8 @@ def test_least_magnitude_minimizes_on_random_lines(seed):
     if seed % 4 == 0:
         b[2:4] = 0.0  # flat lines
     lo, hi = np.sort(rng.normal(scale=2.0, size=2))
-    u = _least_magnitude(a, b, pairwise_min_max(a, b), np.array([1.0, -1.0]),
-                         np.array([hi, -lo]))[0]
+    u = least_magnitude(a, b, pairwise_min_max(a, b), np.array([1.0, -1.0]),
+                        np.array([hi, -lo]))[0]
     assert lo - 1e-12 <= u <= hi + 1e-12
     falling, rising = np.nonzero(b < 0)[0], np.nonzero(b > 0)[0]
     cross = [(a[i] - a[j]) / (b[j] - b[i]) for i in falling for j in rising]
@@ -289,6 +296,77 @@ def test_least_magnitude_minimizes_on_random_lines(seed):
     toward = u - np.sign(u) * 1e-6
     if u != 0.0 and lo <= toward <= hi:
         assert envelope(a, b, toward) > g_min + 1e-11 * (1.0 + abs(g_min))
+
+
+def random_line_set(rng, case):
+    """Lines (a, b), their minimum g and an input column (cu, d) with an
+    offset v: zero slopes, lines of one sign only, zero and mixed-sign input
+    coefficients, empty and narrow intervals."""
+    r, p = int(rng.integers(1, 14)), int(rng.integers(1, 6))
+    a, b = rng.normal(size=r), rng.normal(size=r)
+    if case % 4 == 0:
+        b[rng.random(r) < 0.4] = 0.0  # flat lines
+    if case % 9 == 0:
+        b = np.abs(b)  # no falling line: the band is unbounded below
+    both = (b < 0).any() and (b > 0).any()
+    g = pairwise_min_max(a, b) if both and case % 5 else float(rng.normal())
+    cu, d = rng.normal(size=p), rng.normal(scale=2.0, size=p)
+    if case % 3 == 0:
+        cu[rng.random(p) < 0.3] = 0.0  # rows that do not bound u
+    if case % 6 == 1:
+        cu, d = np.array([1.0, -1.0]), np.array([0.5, 0.5])  # a box
+    return a, b, g, cu, d, float(rng.normal(scale=0.5))
+
+
+def test_compiled_kernel_is_bit_equal_to_the_reference():
+    """`LeastMagnitude` against the uncompiled reference on 200 line sets;
+    the cases cover an empty interval, a minimum at a bound, zero slopes and
+    a general input column."""
+    rng = np.random.default_rng(17)
+    seen = {"empty": 0, "bound": 0, "interior": 0, "flat": 0, "general": 0}
+    for case in range(200):
+        a, b, g, cu, d, v = random_line_set(rng, case)
+        ref = util_oracles.least_magnitude(a, b, g, cu, d - cu * v)
+        u = LeastMagnitude(b, cu, d)(a, g, v)
+        if ref is None:
+            assert u is None
+        else:
+            assert np.array([u]).tobytes() == ref.tobytes()
+        rows, rhs = cu != 0, d - cu * v
+        lo = np.max(rhs[cu < 0] / cu[cu < 0], initial=-np.inf)
+        hi = np.min(rhs[cu > 0] / cu[cu > 0], initial=np.inf)
+        seen["empty"] += bool(lo > hi)
+        seen["bound"] += ref is not None and ref[0] in (lo, hi) and ref[0] != 0.0
+        seen["interior"] += ref is not None and lo < ref[0] < hi
+        seen["flat"] += bool((b == 0).any())
+        seen["general"] += bool(rows.sum() > 2 or not rows.all())
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("name", ("trucks", "power", "scalar"))
+def test_compiled_successor_law_is_bit_equal_to_the_reference(designs, name):
+    """`CompiledController.successor` against the uncompiled reference at
+    successors of tube points and far outside, with input offsets inside U,
+    at its bounds and beyond them, and a NaN offset, for which both return
+    None."""
+    rng = np.random.default_rng(23)
+    for ctrl in designs[name]:
+        sec, rci, U = ctrl.compiled.section, ctrl.rci, ctrl.sub.U
+        law = ctrl.compiled.successor
+        offsets = [np.zeros(1), U.d[:1] / U.C[:1, 0], -U.d[1:] / U.C[1:, 0],
+                   3.0 * U.d[:1] / U.C[:1, 0], np.full(1, np.nan)]
+        for rho in (0.0, 0.5, 1.0, 1.5, 4.0):
+            for _ in range(6):
+                c = rci.A @ (rho * rci.z_set().sample(rng)) + rci.w_set.sample(rng)
+                for v in offsets + [0.5 * rng.uniform(-1.0, 1.0, size=1)]:
+                    ref = util_oracles.successor_law(sec, c, U, v)
+                    got = law(c, v)
+                    if ref is None:
+                        assert got is None
+                        continue
+                    assert got[0].tobytes() == ref[0].tobytes()
+                    assert got[1] == ref[1]
+                    assert got[2].tobytes() == ref[2].tobytes()
 
 
 @pytest.mark.parametrize("name", ("trucks", "power", "scalar"))

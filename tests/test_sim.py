@@ -256,6 +256,64 @@ def test_eta_matches_direct_summation(truck_network, truck_controllers):
     assert eta_index(tr, Q=Q, R=R) == pytest.approx(total / 12, rel=1e-12)
 
 
+def eta_rows(trace, setpoints=None, Q=None, R=None):
+    """eta_index as one quadratic form per (subsystem, step)."""
+    total = 0.0
+    for i in trace.ids:
+        d = trace.data[i]
+        Qi = np.eye(len(d["x"][0])) if Q is None else np.atleast_2d(Q[i])
+        Ri = np.eye(len(d["u"][0])) if R is None else np.atleast_2d(R[i])
+        for t in range(trace.steps):
+            x_ref, u_ref = setpoints[i] if setpoints else (d["x_ref"][t], d["u_ref"][t])
+            ex = np.asarray(d["x"][t]) - np.asarray(x_ref, dtype=float)
+            eu = np.asarray(d["u"][t]) - np.asarray(u_ref, dtype=float)
+            total += float(ex @ Qi @ ex) + float(eu @ Ri @ eu)
+    return total / trace.steps
+
+
+@pytest.mark.parametrize("weights", [False, True])
+def test_eta_matches_the_per_row_loop(power_four_areas, weights):
+    """Recorded setpoints that change with a load step, and constant
+    setpoints passed as lists, with identity and per-subsystem weights."""
+    scenario, controllers = power_four_areas
+    ids = scenario.network.ids
+    cfg = SimConfig(T=30, x0={i: 0.01 * np.arange(1, 5) for i in ids},
+                    loads=[LoadStep("1", 2, 0.08), LoadStep("3", 11, -0.05)])
+    tr = run(scenario.network, controllers, cfg)
+    assert any(np.any(x_ref) for x_ref in tr.data["1"]["x_ref"])
+    Q = {i: np.diag([1.0, 2.0, 0.5, 3.0]) * int(i) for i in ids} if weights else None
+    R = {i: [[0.3 * int(i)]] for i in ids} if weights else None
+    constant = {i: ([0.01, 0.0, -0.02, 0.03], [0.05]) for i in ids}
+    for setpoints in (None, constant):
+        expected = eta_rows(tr, setpoints, Q, R)
+        assert eta_index(tr, setpoints, Q, R) == pytest.approx(expected, rel=1e-12)
+
+
+def test_metrics_of_a_trace_that_stopped_early():
+    """After an infeasible step the subsystems after the failing one have no
+    row for it: the averages run over the steps every subsystem completed,
+    and the constraint slack also sees the state the run stopped at."""
+    net = build_naive_counterexample_network()
+    cfg = SimConfig(T=10, x0={"1": [1.5, 0.8, 0.0, 0.0], "2": [1.5, 0.0, 0.0, 0.0]},
+                    record_failure=True)
+    tr = run(net, paper_naive_controllers(net), cfg)
+    assert (tr.infeasible_at, tr.infeasible_id) == (1, "1")
+    assert tr.steps == 2 and tr.completed == 1
+    m = compute_metrics(tr, net, tie_gains={("1", "2"): 1.0})
+    assert m.eta == pytest.approx(eta_rows(tr_head(tr, 1)), rel=1e-12)
+    assert m.phi == 0.0  # equal angles at t = 0
+    assert m.max_slack > 0.0  # subsystem 1 left its state set at the failed step
+
+
+def tr_head(trace, steps):
+    """The first steps of a trace, every subsystem alike."""
+    out = SimTrace(trace.ids, trace.meta)
+    for i in trace.ids:
+        for key, rows in trace.data[i].items():
+            out.data[i][key] = rows[:steps]
+    return out
+
+
 def test_phi_zero_for_equal_angles():
     tr = SimTrace(["1", "2"], {})
     for _ in range(6):
