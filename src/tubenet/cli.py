@@ -587,7 +587,7 @@ def cmd_simulate(args) -> int:
             code = EXIT_INFEASIBLE
         if not args.record_failure:
             return code
-    print(f"simulated {trace.steps} steps, mode={cfg.mode}")
+    print(f"simulated {trace.completed} steps, mode={cfg.mode}")
     return EXIT_OK
 
 

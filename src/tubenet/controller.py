@@ -14,8 +14,10 @@ writes only the measured state and the setpoint into its right-hand sides.
 Each controller keeps the verdict on the last setpoint it saw: whether it
 is an equilibrium of the nominal model, and whether the exact-setpoint
 shortcut may serve it. Both checks run again on the first step after any
-change. On the shortcut path the facet/cone lookup of x - x_ref runs at
-most once per step: the decentralized law and the solution's beta share it.
+change. The shortcut's solution is the constant setpoint plan, given by
+its first stage (no sequences, no beta); with the section it carries
+H (x - x_ref), which the decentralized law reuses, so a shortcut step runs
+one facet/cone lookup.
 """
 
 from __future__ import annotations
@@ -209,17 +211,18 @@ class CompiledController:
         """The exact optimizer at an admitted setpoint (xhat = x_ref,
         v = u_ref, cost 0) when dev = x - x_ref lies in the tube section;
         None when it does not. With the section, membership is the gauge
-        max H dev <= 1, and the cone lookup is left to the first reader."""
+        max H dev <= 1 and the solution keeps hz = H dev; without it, the
+        membership LP decides."""
+        hz = None
         if self.section is None:
-            cert = member_aggregate(self.rci.z_set(), dev)
-            if not cert.feasible:
+            if not member_aggregate(self.rci.z_set(), dev).feasible:
                 return None
-            return _Shortcut(self, dev, x_ref, u_ref,
-                             beta=[np.asarray(b, dtype=float) for b in cert.beta])
-        hz = self.section.H @ dev
-        if hz.max() > 1.0 + SHORTCUT_TOL:
-            return None
-        return _Shortcut(self, dev, x_ref, u_ref, hz=hz)
+        else:
+            hz = self.section.H @ dev
+            if hz.max() > 1.0 + SHORTCUT_TOL:
+                return None
+        return MpcSolution("optimal", v0=u_ref.copy(), xhat0=x_ref.copy(), objective=0.0,
+                           path="shortcut", hz=hz)
 
     def solve_nominal(self, dev: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray) -> MpcSolution:
         """Solve the nominal problem for the state deviation dev = x - x_ref
@@ -247,11 +250,12 @@ class CompiledController:
                            beta=[beta_flat[s * q:(s + 1) * q] for s in range(k)],
                            objective=float(rep.objective), path=path)
 
-    def law(self, z) -> tuple[np.ndarray, float, np.ndarray]:
-        """Decentralized invariance law at error state z: (u, mu, beta)."""
+    def law(self, z, hz=None) -> tuple[np.ndarray, float, np.ndarray]:
+        """Decentralized invariance law at error state z: (u, mu, beta).
+        hz = H z when the caller has it (the shortcut's solution)."""
         if self.section is None:
             return kappa_bar_full(self.rci, z)
-        return self.section.law(z)
+        return self.section.law(z, hz)
 
     def successor_law(self, z, v, predecessor_states: dict,
                       couplings: dict) -> tuple[np.ndarray, float, np.ndarray]:
@@ -276,45 +280,11 @@ class MpcSolution:
     beta: list[np.ndarray] | None = None
     objective: float | None = None
     path: str | None = None  # where it was served: "shortcut", "qp" or "l1"
+    hz: np.ndarray | None = None  # the shortcut's H (x - x_ref), with the section
 
     @property
     def feasible(self) -> bool:
         return self.status == "optimal"
-
-
-class _Shortcut(MpcSolution):
-    """The shortcut's solution: xhat = x_ref and v = u_ref at every stage,
-    at zero cost. The sequences and, with the section, beta and the cone
-    lookup of dev are computed on first read, with the values an eager
-    computation gives."""
-
-    def __init__(self, compiled: CompiledController, dev, x_ref, u_ref, hz=None, beta=None):
-        # not the dataclass __init__: it would store the lazy fields as None
-        self.status, self.objective, self.path = "optimal", 0.0, "shortcut"
-        self.v0, self.xhat0 = u_ref.copy(), x_ref.copy()
-        self._compiled, self._dev, self._hz = compiled, dev, hz
-        if beta is not None:  # the membership LP's coefficients
-            self.beta = beta
-
-    @functools.cached_property
-    def decomposition(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(mu, beta, u) of dev in the tube section (`TubeSection.decompose`)."""
-        return self._compiled.section.decompose(self._dev, self._hz)
-
-    @functools.cached_property
-    def v_seq(self) -> np.ndarray:
-        return np.tile(self.v0, (self._compiled.N, 1))
-
-    @functools.cached_property
-    def xhat_seq(self) -> np.ndarray:
-        return np.tile(self.xhat0, (self._compiled.N + 1, 1))
-
-    @functools.cached_property
-    def beta(self) -> list[np.ndarray]:
-        mu, beta, _ = self.decomposition
-        beta = beta.reshape(self._compiled.rci.k, self._compiled.rci.q).copy()
-        beta[:, 0] += max(1.0 - mu, 0.0)  # the rest on each block's origin vertex
-        return list(beta)
 
 
 def tighten_sets(X: HPolytope, U: HPolytope, rci: RciDesign) -> tuple[HPolytope, HPolytope]:
@@ -571,17 +541,10 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
     sol = solve_mpc(ctrl, x, x_ref=x_ref, u_ref=u_ref, load_term=load_term)
     if not sol.feasible:
         raise InfeasibleStep(ctrl.id, sol.status)
+    # on a shortcut step z = x - x_ref is bit for bit the shortcut's dev, so
+    # its hz serves the decentralized law
     z = np.asarray(x, dtype=float) - sol.xhat0
     compiled = ctrl.compiled
-
-    def decentralized():
-        # on the shortcut path with the section, z = x - x_ref is bit for bit
-        # the vector the shortcut located there: its cone lookup serves
-        if compiled.section is not None and isinstance(sol, _Shortcut):
-            mu, beta, u_z = sol.decomposition
-            return u_z, mu, beta
-        return compiled.law(z)
-
     try:
         if couplings:
             try:
@@ -590,10 +553,10 @@ def step_control(ctrl: TubeController, x, predecessor_states: dict | None = None
                 kappa_mode = "distributed"
             except MissingPredecessorState as e:
                 log.warning("%s: %s; falling back to the decentralized law", ctrl.id, e)
-                u_z, mu, beta = decentralized()
+                u_z, mu, beta = compiled.law(z, sol.hz)
                 kappa_mode = "fallback"
         else:
-            u_z, mu, beta = decentralized()
+            u_z, mu, beta = compiled.law(z, sol.hz)
             kappa_mode = "decentralized"
     except RuntimeError as e:  # a failed invariance LP is numerical, not infeasibility
         raise InfeasibleStep(ctrl.id, STATUS_FAILURE) from e

@@ -1,8 +1,9 @@
 """Polytope representations and the Minkowski algebra behind set tightening.
 
 H-polytopes carry facet rows, V-polytopes carry vertices, and VAggregate keeps
-a scaled Minkowski sum of vertex blocks implicit: membership and support
-queries are answered by small LPs instead of ever hulling the sum explicitly.
+a scaled Minkowski sum of vertex blocks implicit: its support is the sum of
+the blocks' vertex maxima, and membership is one small LP, so the sum is
+never hulled explicitly.
 """
 
 from __future__ import annotations
@@ -106,16 +107,6 @@ class HPolytope:
             raise GeometryError("chebyshev center LP failed: " + r.status)
         return r.x[:-1], float(r.x[-1])
 
-    def support(self, direction) -> float:
-        """sup of direction'x over the set (inf when unbounded that way)."""
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        r = solve_lp(LinearProgram(-direction, A_ub=self.C, b_ub=self.d))
-        if r.status == "unbounded":
-            return np.inf
-        if not r.optimal:
-            raise GeometryError("support LP failed: " + r.status)
-        return -r.objective
-
     def copy(self) -> "HPolytope":
         return HPolytope(self.C.copy(), self.d.copy())
 
@@ -145,9 +136,11 @@ class VPolytope:
     def origin(cls, n: int) -> "VPolytope":
         return cls(np.zeros((1, n)))
 
-    def support(self, direction) -> float:
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        return float(np.max(self.vertices @ direction))
+    def support(self, directions):
+        """max_v d'v over the vertices: a float for one direction d, an
+        array for the rows of a matrix of directions."""
+        h = (np.asarray(directions, dtype=float) @ self.vertices.T).max(axis=-1)
+        return float(h) if h.ndim == 0 else h
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -174,8 +167,10 @@ class VAggregate:
     def n(self) -> int:
         return self.blocks[0].n
 
-    def support(self, direction) -> float:
-        return self.sigma * sum(b.support(direction) for b in self.blocks)
+    def support(self, directions):
+        """sigma times the blocks' supports, summed in block order; one
+        direction or the rows of a matrix, as `VPolytope.support`."""
+        return self.sigma * sum(b.support(directions) for b in self.blocks)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Interval hull: per-coordinate sums of block-wise extrema."""
@@ -265,8 +260,7 @@ def erode_by_vpolytope(X: HPolytope, P: VPolytope, scale: float = 1.0) -> HPolyt
         raise GeometryError("dimension mismatch in erosion")
     if scale <= 0:
         raise GeometryError("scale must be positive")
-    shifts = np.max(X.C @ P.vertices.T, axis=1)
-    return HPolytope(X.C.copy(), X.d - scale * shifts)
+    return HPolytope(X.C.copy(), X.d - scale * P.support(X.C))
 
 
 def member_aggregate(Z: VAggregate, x, tol: float = 0.0) -> MembershipCertificate:

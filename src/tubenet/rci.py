@@ -81,8 +81,7 @@ def default_omega(W: VAggregate, X: HPolytope, fraction: float = 0.01) -> float:
     Uses a fraction of the smallest normalized facet slack of X over W;
     non-positive slack means the coupling disturbance is too large.
     """
-    norms = np.linalg.norm(X.C, axis=1)
-    slacks = np.array([(X.d[r] - W.support(X.C[r])) / norms[r] for r in range(X.n_rows)])
+    slacks = (X.d - W.support(X.C)) / np.linalg.norm(X.C, axis=1)
     min_slack = float(slacks.min())
     if min_slack <= 0:
         raise DesignError(
@@ -281,11 +280,7 @@ class RciDesign:
 
     def inclusion_slacks(self, X: HPolytope, U: HPolytope):
         """Per-facet slack of the invariant set inside X and its inputs inside U."""
-        Z = self.z_set()
-        Uz = self.u_set()
-        sx = np.array([X.d[r] - Z.support(X.C[r]) for r in range(X.n_rows)])
-        su = np.array([U.d[r] - Uz.support(U.C[r]) for r in range(U.n_rows)])
-        return sx, su
+        return X.d - self.z_set().support(X.C), U.d - self.u_set().support(U.C)
 
 
 def synthesize_rci_from_w(sub: Subsystem, W: VAggregate,

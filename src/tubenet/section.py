@@ -105,10 +105,11 @@ class TubeSection:
         kq = self.k * self.q
         return float(_sum(lam)), out[:kq], out[kq:]
 
-    def law(self, z) -> tuple[np.ndarray, float, np.ndarray]:
+    def law(self, z, hz=None) -> tuple[np.ndarray, float, np.ndarray]:
         """Decentralized invariance law: (u, mu, beta), an optimal solution of
-        the invariance LP; exact zeros at z = 0."""
-        mu, beta, u = self.decompose(z)
+        the invariance LP; exact zeros at z = 0. hz = H z when the caller
+        has it."""
+        mu, beta, u = self.decompose(z, hz)
         return u, mu, beta
 
     def compile_successor(self, U) -> SuccessorLaw | None:

@@ -151,11 +151,11 @@ class SimTrace:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def fingerprint(self, include_timings: bool = False) -> str:
+    def fingerprint(self) -> str:
+        """sha256 of the trace without its solve times."""
         doc = self.to_dict()
-        if not include_timings:
-            for i in doc["data"]:
-                doc["data"][i].pop("solve_time")
+        for i in doc["data"]:
+            doc["data"][i].pop("solve_time")
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
     def to_csv(self, path):
@@ -413,13 +413,13 @@ def eta_index(trace: SimTrace, setpoints=None, Q=None, R=None) -> float:
     return total / T
 
 
-def phi_index(trace: SimTrace, tie_gains: dict, ts: float, angle_index: int = 0) -> float:
+def phi_index(trace: SimTrace, tie_gains: dict, ts: float) -> float:
     """Time-averaged absolute inter-area power transfer, over the steps
     every subsystem completed.
 
     tie_gains maps directed pairs (i, j) to the line gain; the transfer at
-    step t is gain * (angle_i(t) - angle_j(t)) with the angle taken from the
-    given state component.
+    step t is gain * (angle_i(t) - angle_j(t)) with the angle the first
+    state component.
     """
     T = trace.completed
     if T == 0:
@@ -428,8 +428,8 @@ def phi_index(trace: SimTrace, tie_gains: dict, ts: float, angle_index: int = 0)
     for (i, j), gain in tie_gains.items():
         i, j = str(i), str(j)
         for t in range(T):
-            thi = float(trace.data[i]["x"][t][angle_index])
-            thj = float(trace.data[j]["x"][t][angle_index])
+            thi = float(trace.data[i]["x"][t][0])
+            thj = float(trace.data[j]["x"][t][0])
             total += abs(gain * (thi - thj)) * ts
     return total / T
 

@@ -5,7 +5,9 @@ the algebraic identities of the solved invariant-set LP (they prove
 invariance), strict inclusion of the tube sections inside the constraints,
 containment of the tightened sets, and invariance of the explicit law at
 the vertices of the tube section (skipped when the LP law serves). The
-plug-in transaction commits on the exact pair (`structural_report`,
+first three are support-function arithmetic on the stored vertex blocks
+and facet rows, and the last reads the section, so no report solves an
+LP. The plug-in transaction commits on the exact pair (`structural_report`,
 `inclusion_report`).
 
 `rci_certificate` is a sampled invariance oracle of the served law; no
@@ -71,24 +73,27 @@ def inclusion_report(sub: Subsystem, design: RciDesign) -> dict:
 
 
 def tube_containment_report(ctrl: TubeController) -> dict:
-    """Per-facet check that the tightened state set plus the tube section
-    stays inside the original constraints (and same on the input side)."""
-    rci = ctrl.rci
-    sub = ctrl.sub
-    Z = rci.z_set()
-    Uz = rci.u_set()
-    slack_x = min(
-        float(sub.X.d[r] - ctrl.Xhat.support(sub.X.C[r]) - Z.support(sub.X.C[r]))
-        for r in range(sub.X.n_rows))
-    slack_u = min(
-        float(sub.U.d[r] - ctrl.V.support(sub.U.C[r]) - Uz.support(sub.U.C[r]))
-        for r in range(sub.U.n_rows))
-    return {
-        "name": "tube_containment",
-        "min_state_slack": slack_x,
-        "min_input_slack": slack_u,
-        "passed": bool(slack_x >= -1e-8 and slack_u >= -1e-8),
-    }
+    """Containment of the tightened sets plus the tube section in the
+    original constraints, in closed form. Erosion shifts only the offsets,
+    so X^ = {C x <= d^} keeps the rows of X = {C x <= d}; as h_X^(c) <= d^
+    on each row, X^ (+) Z lies in X when d - d^ - h_Z(C) >= 0 on every row.
+    Likewise for V^, the tube's inputs and U. A tightened set with other
+    rows fails, and the report names why."""
+    rci, sub = ctrl.rci, ctrl.sub
+    rep = {"name": "tube_containment"}
+    reasons = []
+    for side, P, tight, tube in (("state", sub.X, ctrl.Xhat, rci.z_set()),
+                                 ("input", sub.U, ctrl.V, rci.u_set())):
+        if not np.array_equal(tight.C, P.C):
+            rep[f"min_{side}_slack"] = None
+            reasons.append(f"the tightened {side} set does not keep the {side} constraint rows")
+        else:
+            rep[f"min_{side}_slack"] = float((P.d - tight.d - tube.support(P.C)).min())
+    slacks = [rep["min_state_slack"], rep["min_input_slack"]]
+    rep["passed"] = not reasons and min(slacks) >= -1e-8
+    if reasons:
+        rep["reason"] = "; ".join(reasons)
+    return rep
 
 
 def structural_report(design: RciDesign, tol: float = 1e-9) -> dict:

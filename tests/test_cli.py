@@ -10,6 +10,7 @@ import pytest
 import util_oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import _linprog_highs
 
 from tubenet import cli, verify
 from tubenet import section as section_mod
@@ -210,6 +211,25 @@ def test_simulate_naive_counterexample_exit3(tmp_path, capsys):
     trace = SimTrace.from_json(tmp_path / "tr.json")
     assert trace.infeasible_at == 1
     assert trace.infeasible_status == "infeasible"
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_simulate_reports_the_steps_every_subsystem_completed(tmp_path, capsys, record):
+    """The naive counterexample fails at t = 1 after subsystem 1 recorded
+    that step: one step completed. With --record-failure the summary says
+    so; without it the run exits 3 and prints no summary."""
+    spath = tmp_path / "naive.json"
+    spath.write_text(json.dumps(counterexample_scenario()))
+    rc = main(["simulate", str(spath), "--naive", "--trace", str(tmp_path / "tr.json")]
+              + (["--record-failure"] if record else []))
+    assert rc == (EXIT_OK if record else EXIT_INFEASIBLE)
+    trace = SimTrace.from_json(tmp_path / "tr.json")
+    assert (trace.steps, trace.completed) == (2, 1)
+    out = capsys.readouterr().out
+    if record:
+        assert "simulated 1 steps" in out
+    else:
+        assert "simulated" not in out
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -523,6 +543,44 @@ def test_check_detects_corrupted_alpha(truck_paths, tmp_path):
     assert report["passed"] is False
     inclusion = [c for c in report["subsystems"]["1"] if c["name"] == "inclusions"][0]
     assert not inclusion["passed"]
+
+
+@pytest.mark.parametrize("tamper", ["none", "permuted rows", "raised offset"])
+def test_check_proves_containment_without_an_lp(truck_paths, tmp_path, monkeypatch, tamper):
+    """The containment report reads the stored offsets: a tightened state
+    set with its rows reordered (the same set) or with one offset raised
+    fails it, and `tubenet check` exits 2. No report solves an LP."""
+    doc = json.loads(truck_paths[1].read_text())
+    xhat = doc["controllers"]["1"]["Xhat"]
+    if tamper == "permuted rows":
+        xhat["C"], xhat["d"] = xhat["C"][::-1], xhat["d"][::-1]
+    elif tamper == "raised offset":
+        xhat["d"][0] += 1e-3
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    lps = []
+    highs = _linprog_highs._highs_wrapper
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper",
+                        lambda *a: lps.append(1) or highs(*a))
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["check", str(path), "-o", str(out)])
+    assert lps == []
+    report = json.loads(out.read_text())["subsystems"]
+    contain = {i: [c for c in checks if c["name"] == "tube_containment"][0]
+               for i, checks in report.items()}
+    assert contain["2"]["passed"]
+    if tamper == "none":
+        assert rc == EXIT_OK and contain["1"]["passed"]
+        return
+    assert rc == EXIT_DESIGN and not contain["1"]["passed"]
+    assert contain["1"]["min_input_slack"] >= -1e-8  # V^ is untouched
+    if tamper == "permuted rows":
+        assert contain["1"]["min_state_slack"] is None
+        assert "does not keep the state constraint rows" in contain["1"]["reason"]
+    else:
+        assert contain["1"]["min_state_slack"] == pytest.approx(-1e-3, abs=1e-9)
+        assert "reason" not in contain["1"]
 
 
 def test_plug_and_unplug_commands(truck_paths, tmp_path):

@@ -1,5 +1,5 @@
 """The compiled online step: the per-setpoint verdict, the single cone lookup
-of the shortcut, the lazy shortcut fields, and the per-run schedule of
+of the shortcut, the shortcut's plain solution, and the per-run schedule of
 `sim.run`. Every result is compared with an eager computation or a fresh
 controller, bit for bit."""
 
@@ -12,7 +12,6 @@ from tubenet import controller as controller_mod
 from tubenet import section as section_mod
 from tubenet import sim as sim_mod
 from tubenet.controller import solve_mpc, step_control
-from tubenet.geometry import member_aggregate
 from tubenet.sim import LoadStep, SimConfig, run
 
 
@@ -33,33 +32,31 @@ def inside(rci):
     return 0.5 * rci.sigma * sum(blk[-1] for blk in rci.z_blocks)
 
 
-# ------------------------------------------------------------ lazy fields
+# ------------------------------------------------------- shortcut solution
 
 @pytest.mark.parametrize("with_section", [True, False])
-def test_lazy_shortcut_fields_equal_the_eager_values(monkeypatch, power_four_areas,
-                                                     with_section):
+def test_shortcut_solution_is_the_plain_setpoint(monkeypatch, power_four_areas, with_section):
+    """The shortcut's solution is the setpoint's first stage at zero cost,
+    in its own arrays; with the section it carries H dev, and it holds no
+    sequences and no beta."""
     scenario, controllers = power_four_areas
     sub = scenario.network.subsystems["1"]
     if not with_section:
         monkeypatch.setattr(section_mod, "MAX_POINTS", 0)
     ctrl = replace(controllers["1"])
-    sec, rci = ctrl.compiled.section, ctrl.rci
+    sec = ctrl.compiled.section
     assert (sec is not None) == with_section
     x_ref, u_ref, load_term = references(sub, 0.1)
-    dev = inside(rci)
-    sol = solve_mpc(ctrl, x_ref + dev, x_ref, u_ref, load_term)
-    assert sol.path == "shortcut" and sol.objective == 0.0
-    assert np.array_equal(sol.v_seq, np.tile(u_ref, (ctrl.cfg.N, 1)))
-    assert np.array_equal(sol.xhat_seq, np.tile(x_ref, (ctrl.cfg.N + 1, 1)))
-    dev = (x_ref + dev) - x_ref  # as the shortcut computes it
+    x = x_ref + inside(ctrl.rci)
+    sol = solve_mpc(ctrl, x, x_ref, u_ref, load_term)
+    assert sol.path == "shortcut" and sol.feasible and sol.objective == 0.0
+    assert np.array_equal(sol.v0, u_ref) and not np.shares_memory(sol.v0, u_ref)
+    assert np.array_equal(sol.xhat0, x_ref) and not np.shares_memory(sol.xhat0, x_ref)
     if with_section:
-        mu, beta, _ = sec.decompose(dev, sec.H @ dev)
-        beta = beta.reshape(rci.k, rci.q)
-        beta[:, 0] += max(1.0 - mu, 0.0)
+        assert np.array_equal(sol.hz, sec.H @ (x - x_ref))  # dev as the shortcut computes it
     else:
-        beta = member_aggregate(rci.z_set(), dev).beta
-    assert len(sol.beta) == rci.k
-    assert all(np.array_equal(a, b) for a, b in zip(sol.beta, beta))
+        assert sol.hz is None
+    assert sol.v_seq is None and sol.xhat_seq is None and sol.beta is None
 
 
 def test_shortcut_step_looks_up_the_cone_once(monkeypatch, power_four_areas):
@@ -76,14 +73,10 @@ def test_shortcut_step_looks_up_the_cone_once(monkeypatch, power_four_areas):
     u, diag = step_control(ctrl, x, x_ref=x_ref, u_ref=u_ref, load_term=load_term)
     assert diag.path == "shortcut" and diag.kappa_mode == "decentralized"
     assert len(lookups) == 1
-    beta = [b.copy() for b in diag.mpc.beta]  # read after the law: no second lookup
-    assert len(lookups) == 1
     monkeypatch.setattr(section_mod.TubeSection, "decompose", decompose)
     u_z, mu, beta_law = sec.law(x - x_ref)
     assert np.array_equal(u, u_ref + u_z)
     assert diag.mu == mu and np.array_equal(diag.beta, beta_law)
-    # the solution's beta is its own copy: the law's coefficients are unchanged
-    assert all(np.array_equal(a, b) for a, b in zip(diag.mpc.beta, beta))
 
 
 # ------------------------------------------------------------ cache guards

@@ -6,6 +6,7 @@ from util_geom import (
     minkowski_cloud,
     polygon_signed_margin,
     random_2d_polytope,
+    support_lp,
 )
 
 from tubenet import geometry
@@ -102,8 +103,8 @@ def test_minkowski_hull_tracks_summands_and_caps_the_cloud():
 def test_erode_vpoly_box_minus_cross():
     X = HPolytope.symmetric_box([2.0, 2.0])
     out = erode_by_vpolytope(X, CROSS_2D, 1.0)
-    assert out.support([1, 0]) == pytest.approx(1.0, abs=1e-9)
-    assert out.support([0, -1]) == pytest.approx(1.0, abs=1e-9)
+    assert support_lp(out, [1, 0]) == pytest.approx(1.0, abs=1e-9)
+    assert support_lp(out, [0, -1]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_erode_vpoly_by_origin_is_identity():
@@ -117,7 +118,7 @@ def test_erode_vpoly_box_minus_box():
     P = VPolytope(box_vertices([-0.3, -0.3], [0.3, 0.3]))
     out = erode_by_vpolytope(X, P, 1.0)
     for d in (np.array([1.0, 0]), np.array([0, 1.0]), np.array([-1.0, 0]), np.array([0, -1.0])):
-        assert out.support(d) == pytest.approx(0.7, abs=1e-9)
+        assert support_lp(out, d) == pytest.approx(0.7, abs=1e-9)
 
 
 def _hexagon_witness():
@@ -146,7 +147,7 @@ def test_erode_vpoly_matches_support_oracle_random():
             continue
         for _ in range(32):
             d = rng.normal(size=2)
-            assert mine.support(d) == pytest.approx(oracle.support(d), abs=1e-7)
+            assert support_lp(mine, d) == pytest.approx(support_lp(oracle, d), abs=1e-7)
 
 
 def test_erosion_inflation_duality():
@@ -160,7 +161,7 @@ def test_erosion_inflation_duality():
             continue
         for _ in range(32):
             d = rng.normal(size=2)
-            assert eroded.support(d) + P.support(d) <= X.support(d) + 1e-9
+            assert support_lp(eroded, d) + P.support(d) <= support_lp(X, d) + 1e-9
 
 
 # -------------------------------------------------------------------- contains
@@ -256,6 +257,45 @@ def test_support_additivity_under_sum():
     for _ in range(100):
         d = rng.normal(size=2)
         assert S.support(d) == pytest.approx(P.support(d) + Q.support(d), abs=1e-10)
+
+
+def test_support_of_a_matrix_is_the_support_of_each_row():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        Z = VAggregate([VPolytope(rng.normal(size=(q, n))) for q in (1, 4, 3)], sigma=1.7)
+        D = rng.normal(size=(6, n))
+        for S in (Z, Z.blocks[1]):
+            rows = S.support(D)
+            assert rows.shape == (6,) and isinstance(S.support(D[0]), float)
+            assert np.allclose(rows, [S.support(d) for d in D], rtol=1e-14, atol=1e-14)
+        cloud = minkowski_cloud(Z.blocks, Z.sigma)
+        assert np.allclose(Z.support(D), (D @ cloud.T).max(axis=1), rtol=1e-12, atol=1e-12)
+
+
+def test_closed_form_containment_never_exceeds_the_lp():
+    """X^ = X eroded by sigma (P_1 (+) P_2) keeps the rows of X, and
+    d - d^ - h_Z(c) bounds the exact slack d - h_X^(c) - h_Z(c) of each row
+    from below: h_X^(c) <= d^ (equal unless the row became redundant)."""
+    rng = np.random.default_rng(43)
+    checked = redundant = 0
+    for _ in range(20):
+        X = random_2d_polytope(rng)
+        blocks = [VPolytope(rng.normal(size=(int(rng.integers(1, 5)), 2)) * 0.2)
+                  for _ in range(2)]
+        sigma = float(rng.uniform(0.5, 1.5))
+        Xhat = X
+        for blk in blocks:
+            Xhat = erode_by_vpolytope(Xhat, blk, sigma)
+        if Xhat.is_empty():
+            continue
+        h_tube = (X.C @ minkowski_cloud(blocks, sigma).T).max(axis=1)
+        closed = X.d - Xhat.d - VAggregate(blocks, sigma).support(X.C)
+        for r, c in enumerate(X.C):
+            exact = X.d[r] - support_lp(Xhat, c) - h_tube[r]
+            assert closed[r] <= exact + 1e-9
+            redundant += bool(closed[r] < exact - 1e-9)
+            checked += 1
+    assert checked > 50 and redundant > 0  # some rows became redundant
 
 
 # ------------------------------------------------------------------- misc ops

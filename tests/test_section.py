@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import _linprog_highs
 
 from tubenet import controller as controller_mod
 from tubenet import section as section_mod
@@ -28,16 +29,17 @@ from tubenet.controller import (
     kappa_bar_full,
     step_control,
 )
-from tubenet.geometry import HPolytope, VAggregate, VPolytope, member_aggregate
+from tubenet.geometry import HPolytope, VAggregate, VPolytope
 from tubenet.model import Subsystem
 from tubenet.rci import DesignFailure, RciConfig
 from tubenet.scenarios import mass_scenario
 from tubenet.section import LeastMagnitude, TubeSection
-from tubenet.verify import rci_certificate, vertex_invariance_report
+from tubenet.verify import rci_certificate, run_all_checks, vertex_invariance_report
 
 from conftest import design_truck_controllers
 import util_oracles
 from util_oracles import homogeneity_report
+from util_geom import support_lp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 DESIGNS = ("trucks", "power", "mass", "scalar")
@@ -404,9 +406,6 @@ def test_capped_section_falls_back_to_the_lps(monkeypatch, truck_network, truck_
         for x in [ctrl.rci.z_set().sample(rng) for _ in range(5)] + [np.array([3.0, 0.0])]:
             u, diag = step_control(ctrl, x)
             assert np.array_equal(u, diag.v0 + kappa_bar_full(ctrl.rci, x - diag.xhat0)[0])
-            if diag.objective == 0.0:  # the shortcut: membership LP coefficients
-                cert = member_aggregate(ctrl.rci.z_set(), x - diag.xhat0)
-                assert all(np.array_equal(a, b) for a, b in zip(diag.mpc.beta, cert.beta))
     states = {"1": np.array([0.1, 0.0]), "2": np.array([3.0, 0.0])}
     ctrl = fresh(truck_controllers["1"])
     preds = truck_network.predecessors("1")
@@ -452,11 +451,30 @@ def test_vertex_invariance_holds(designs, name, monkeypatch):
     assert bool(lp_calls) == (name == "fallback")
 
 
+@pytest.mark.parametrize("name", DESIGNS + ("fallback",))
+def test_exact_reports_solve_no_lp_and_containment_is_closed_form(designs, name, monkeypatch):
+    """`run_all_checks` passes without an LP, and its containment slack of
+    each row, d - d^ - h(c), is never above the LP's d - h_X^(c) - h(c)."""
+    lps = []
+    highs = _linprog_highs._highs_wrapper
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", lambda *a: lps.append(1) or highs(*a))
+    for ctrl in designs[name]:
+        assert all(rep["passed"] for rep in run_all_checks(ctrl))
+    assert lps == []
+    monkeypatch.undo()
+    for ctrl in designs[name]:
+        sub, rci = ctrl.sub, ctrl.rci
+        for P, tight, tube in ((sub.X, ctrl.Xhat, rci.z_set()), (sub.U, ctrl.V, rci.u_set())):
+            closed = P.d - tight.d - tube.support(P.C)
+            for r, c in enumerate(P.C):
+                assert closed[r] <= P.d[r] - support_lp(tight, c) - tube.support(c) + 1e-9
+
+
 def test_sampled_certificate_checks_the_served_law(monkeypatch, truck_controllers):
     law = TubeSection.law
 
-    def tripled(self, z):
-        u, mu, beta = law(self, z)
+    def tripled(self, z, hz=None):
+        u, mu, beta = law(self, z, hz)
         return 3.0 * u, mu, beta
 
     monkeypatch.setattr(TubeSection, "law", tripled)

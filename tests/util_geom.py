@@ -9,7 +9,8 @@ import itertools
 
 import numpy as np
 
-from tubenet.geometry import HPolytope
+from tubenet.geometry import GeometryError, HPolytope
+from tubenet.optim import LinearProgram, solve_lp
 
 
 def random_2d_polytope(rng, n_points: int = 10, spread: float = 1.5) -> HPolytope:
@@ -77,3 +78,15 @@ def erode_support_oracle(X: HPolytope, cloud: np.ndarray) -> HPolytope:
     """X (-) conv(cloud) via one-shot per-facet support subtraction."""
     shifts = np.max(X.C @ cloud.T, axis=1)
     return HPolytope(X.C.copy(), X.d - shifts)
+
+
+def support_lp(P: HPolytope, direction) -> float:
+    """sup of direction'x over {C x <= d} by one LP (inf when unbounded that
+    way): the oracle for the closed-form supports."""
+    direction = np.atleast_1d(np.asarray(direction, dtype=float))
+    r = solve_lp(LinearProgram(-direction, A_ub=P.C, b_ub=P.d))
+    if r.status == "unbounded":
+        return np.inf
+    if not r.optimal:
+        raise GeometryError("support LP failed: " + r.status)
+    return -r.objective
